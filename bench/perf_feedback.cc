@@ -42,8 +42,6 @@
 #include <vector>
 
 #include "bench/host_info.h"
-#include "cluster/node_manager.h"
-#include "cluster/parallel_session.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
 #include "obs/telemetry.h"
@@ -101,10 +99,13 @@ uint64_t DigestRecords(const SessionResult& result) {
 ModeResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t pool,
                        bool reference, uint64_t seed, obs::MetricsSink* metrics = nullptr) {
   TargetSuite suite = spec.make();
-  const uint64_t harness_seed = seed ^ 0x5eed;
-  TargetHarness harness(suite, harness_seed);
-  harness.set_metrics_sink(metrics);
-  FaultSpace space = harness.MakeSpace(spec.max_call, spec.zero_call);
+  // One harness per node, each accumulating coverage locally.
+  std::vector<std::unique_ptr<TargetHarness>> nodes;
+  for (size_t i = 0; i < jobs; ++i) {
+    nodes.push_back(std::make_unique<TargetHarness>(suite, seed ^ 0x5eed));
+    nodes.back()->set_metrics_sink(metrics);
+  }
+  FaultSpace space = nodes[0]->MakeSpace(spec.max_call, spec.zero_call);
 
   FitnessExplorerConfig explorer_config;
   explorer_config.seed = seed;
@@ -117,40 +118,24 @@ ModeResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_
   session_config.cluster_config.naive_reference = reference;
   session_config.metrics = metrics;
 
-  const SearchTarget target{.max_tests = budget};
+  std::vector<ExplorationSession::Runner> runners;
+  for (const auto& node : nodes) {
+    runners.push_back(node->MakeRunner(space));
+  }
   ModeResult mode;
   auto started = std::chrono::steady_clock::now();
-  const SessionResult* result = nullptr;
-  std::optional<ExplorationSession> serial;
-  std::optional<ParallelSession> parallel;
-  std::vector<std::unique_ptr<TargetHarness>> node_harnesses;
-  if (jobs == 1) {
-    serial.emplace(explorer, harness.MakeRunner(space), session_config);
-    result = &serial->Run(target);
-  } else {
-    std::vector<std::unique_ptr<NodeManager>> managers;
-    for (size_t i = 0; i < jobs; ++i) {
-      node_harnesses.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
-      TargetHarness* h = node_harnesses.back().get();
-      managers.push_back(std::make_unique<NodeManager>(
-          "node" + std::to_string(i),
-          NodeManager::Hooks{.test = [h, &space](const Fault& f) {
-            return h->RunFault(space, f);
-          }}));
-    }
-    parallel.emplace(explorer, std::move(managers), session_config);
-    result = &parallel->Run(target);
-  }
+  ExplorationSession session(explorer, std::move(runners), session_config);
+  const SessionResult& result = session.Run(SearchTarget{.max_tests = budget});
   mode.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  mode.tests = result->tests_executed;
+  mode.tests = result.tests_executed;
   mode.tests_per_sec = mode.seconds > 0.0 ? mode.tests / mode.seconds : 0.0;
-  mode.failed = result->failed_tests;
-  mode.crashes = result->crashes;
-  mode.clusters = result->clusters;
-  mode.unique_failures = result->unique_failures;
-  mode.unique_crashes = result->unique_crashes;
-  mode.record_digest = DigestRecords(*result);
+  mode.failed = result.failed_tests;
+  mode.crashes = result.crashes;
+  mode.clusters = result.clusters;
+  mode.unique_failures = result.unique_failures;
+  mode.unique_crashes = result.unique_crashes;
+  mode.record_digest = DigestRecords(result);
   return mode;
 }
 

@@ -28,15 +28,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/host_info.h"
-#include "cluster/node_manager.h"
-#include "cluster/parallel_session.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
 #include "obs/telemetry.h"
@@ -65,56 +63,22 @@ struct ModeResult {
   size_t clusters = 0;
   size_t sim_steps = 0;
   double steps_per_sec = 0.0;
-  // FNV-1a over every record's fault indices, fitness bit pattern, cluster
-  // id, and full outcome: two campaigns agree on this iff their record
-  // sequences (and the sim-layer observations inside them) are identical.
+  // RecordDigest (core/session.h): two campaigns agree on it iff their
+  // record sequences (and the sim-layer observations inside them) are
+  // identical.
   uint64_t record_digest = 0;
 };
-
-uint64_t DigestRecords(const SessionResult& result) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h = (h ^ ((v >> shift) & 0xff)) * 0x100000001b3ULL;
-    }
-  };
-  auto mix_string = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h = (h ^ c) * 0x100000001b3ULL;
-    }
-    h = (h ^ 0xff) * 0x100000001b3ULL;  // terminator: "ab","c" != "a","bc"
-  };
-  for (const SessionRecord& r : result.records) {
-    for (size_t i = 0; i < r.fault.dimensions(); ++i) {
-      mix(r.fault[i]);
-    }
-    uint64_t fitness_bits;
-    static_assert(sizeof(fitness_bits) == sizeof(r.fitness));
-    std::memcpy(&fitness_bits, &r.fitness, sizeof(fitness_bits));
-    mix(fitness_bits);
-    mix(r.cluster_id);
-    const TestOutcome& o = r.outcome;
-    mix(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
-        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0));
-    mix(o.new_blocks_covered);
-    for (uint32_t block : o.new_block_ids) {
-      mix(block);
-    }
-    for (const std::string& frame : o.injection_stack) {
-      mix_string(frame);
-    }
-    mix_string(o.detail);
-  }
-  return h;
-}
 
 ModeResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, bool reference,
                        uint64_t seed, obs::MetricsSink* metrics = nullptr) {
   TargetSuite suite = spec.make();
-  const uint64_t harness_seed = seed ^ 0x5eed;
-  TargetHarness harness(suite, harness_seed, reference);
-  harness.set_metrics_sink(metrics);
-  FaultSpace space = harness.MakeSpace(spec.max_call, spec.zero_call);
+  // One harness per node, each accumulating coverage locally.
+  std::vector<std::unique_ptr<TargetHarness>> nodes;
+  for (size_t i = 0; i < jobs; ++i) {
+    nodes.push_back(std::make_unique<TargetHarness>(suite, seed ^ 0x5eed, reference));
+    nodes.back()->set_metrics_sink(metrics);
+  }
+  FaultSpace space = nodes[0]->MakeSpace(spec.max_call, spec.zero_call);
   // Keep every cell in the non-saturated regime this benchmark measures: a
   // budget near the space size degenerates into the exhaustion/fallback-scan
   // path, which is the feedback layer's territory, not the sim layer's.
@@ -130,44 +94,26 @@ ModeResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, bool 
   session_config.redundancy_feedback = true;
   session_config.metrics = metrics;
 
-  const SearchTarget target{.max_tests = budget};
+  std::vector<ExplorationSession::Runner> runners;
+  for (const auto& node : nodes) {
+    runners.push_back(node->MakeRunner(space));
+  }
   ModeResult mode;
   auto started = std::chrono::steady_clock::now();
-  const SessionResult* result = nullptr;
-  std::optional<ExplorationSession> serial;
-  std::optional<ParallelSession> parallel;
-  std::vector<std::unique_ptr<TargetHarness>> node_harnesses;
-  if (jobs == 1) {
-    serial.emplace(explorer, harness.MakeRunner(space), session_config);
-    result = &serial->Run(target);
-    mode.sim_steps = harness.total_sim_steps();
-  } else {
-    std::vector<std::unique_ptr<NodeManager>> managers;
-    for (size_t i = 0; i < jobs; ++i) {
-      node_harnesses.push_back(
-          std::make_unique<TargetHarness>(suite, harness_seed, reference));
-      TargetHarness* h = node_harnesses.back().get();
-      managers.push_back(std::make_unique<NodeManager>(
-          "node" + std::to_string(i),
-          NodeManager::Hooks{.test = [h, &space](const Fault& f) {
-            return h->RunFault(space, f);
-          }}));
-    }
-    parallel.emplace(explorer, std::move(managers), session_config);
-    result = &parallel->Run(target);
-    for (const auto& h : node_harnesses) {
-      mode.sim_steps += h->total_sim_steps();
-    }
+  ExplorationSession session(explorer, std::move(runners), session_config);
+  const SessionResult& result = session.Run(SearchTarget{.max_tests = budget});
+  for (const auto& node : nodes) {
+    mode.sim_steps += node->total_sim_steps();
   }
   mode.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  mode.tests = result->tests_executed;
+  mode.tests = result.tests_executed;
   mode.tests_per_sec = mode.seconds > 0.0 ? mode.tests / mode.seconds : 0.0;
   mode.steps_per_sec = mode.seconds > 0.0 ? mode.sim_steps / mode.seconds : 0.0;
-  mode.failed = result->failed_tests;
-  mode.crashes = result->crashes;
-  mode.clusters = result->clusters;
-  mode.record_digest = DigestRecords(*result);
+  mode.failed = result.failed_tests;
+  mode.crashes = result.crashes;
+  mode.clusters = result.clusters;
+  mode.record_digest = RecordDigest(result.records);
   return mode;
 }
 

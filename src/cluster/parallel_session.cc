@@ -1,149 +1,23 @@
 #include "cluster/parallel_session.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 namespace afex {
+namespace {
+
+std::vector<ExplorationSession::Runner> ManagerRunners(
+    std::vector<std::unique_ptr<NodeManager>> managers) {
+  std::vector<ExplorationSession::Runner> runners;
+  for (std::unique_ptr<NodeManager>& manager : managers) {
+    std::shared_ptr<NodeManager> node = std::move(manager);
+    runners.push_back([node](const Fault& fault) { return node->Execute(fault); });
+  }
+  return runners;
+}
+
+}  // namespace
 
 ParallelSession::ParallelSession(Explorer& explorer,
                                  std::vector<std::unique_ptr<NodeManager>> managers,
                                  SessionConfig config)
-    : explorer_(&explorer),
-      managers_(std::move(managers)),
-      config_(std::move(config)),
-      pool_(managers_.size()),
-      clusterer_(config_.cluster_config) {}
-
-size_t ParallelSession::NextRoundSize(const SearchTarget& target) const {
-  size_t round = managers_.size();
-  if (target.max_tests > 0) {
-    if (result_.tests_executed >= target.max_tests) {
-      return 0;
-    }
-    round = std::min(round, target.max_tests - result_.tests_executed);
-  }
-  return round;
-}
-
-void ParallelSession::Process(const Fault& fault, TestOutcome outcome, bool notify_observer) {
-  ProcessSessionRecord(config_, *explorer_, clusterer_, result_, fault, std::move(outcome),
-                       notify_observer);
-}
-
-std::optional<size_t> ParallelSession::Replay(const std::vector<SessionRecord>& records,
-                                              const SearchTarget& target) {
-  size_t consumed = 0;
-  while (consumed < records.size()) {
-    size_t round = NextRoundSize(target);
-    if (round == 0 || records.size() - consumed < round) {
-      break;
-    }
-    // Mirror Run's call order: the whole round is issued before any result
-    // is reported (feedback-driven explorers depend on the interleaving).
-    for (size_t i = 0; i < round; ++i) {
-      auto candidate = explorer_->NextCandidate();
-      if (!candidate.has_value() || !(*candidate == records[consumed + i].fault)) {
-        return std::nullopt;
-      }
-    }
-    for (size_t i = 0; i < round; ++i) {
-      Process(records[consumed + i].fault, records[consumed + i].outcome,
-              /*notify_observer=*/false);
-    }
-    consumed += round;
-  }
-  return consumed;
-}
-
-const SessionResult& ParallelSession::Run(const SearchTarget& target) {
-  // Progress toward the stop criteria is re-derived from the records
-  // already present (journal replay) so a resumed campaign stops exactly
-  // where the uninterrupted one would have.
-  size_t found_above_threshold = 0;
-  size_t crashes_found = 0;
-  for (const SessionRecord& r : result_.records) {
-    if (r.impact >= target.impact_threshold) {
-      ++found_above_threshold;
-    }
-    if (r.outcome.crashed) {
-      ++crashes_found;
-    }
-  }
-  bool done = (target.stop_after_found > 0 && found_above_threshold >= target.stop_after_found) ||
-              (target.stop_after_crashes > 0 && crashes_found >= target.stop_after_crashes);
-
-  while (!done) {
-    // Issue one candidate per manager (fewer on the last round).
-    size_t round = NextRoundSize(target);
-    if (round == 0) {
-      break;
-    }
-    std::vector<Fault> batch;
-    for (size_t i = 0; i < round; ++i) {
-      obs::PhaseTimer next_timer(config_.metrics, obs::Phase::kExplorerNext);
-      auto candidate = explorer_->NextCandidate();
-      next_timer.Finish();
-      if (!candidate.has_value()) {
-        result_.space_exhausted = true;
-        break;
-      }
-      batch.push_back(std::move(*candidate));
-    }
-    if (batch.empty()) {
-      break;
-    }
-
-    // Execute the round concurrently, one manager per candidate.
-    std::vector<TestOutcome> outcomes(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      pool_.Submit([this, i, &batch, &outcomes] {
-        // Timed on the worker thread: each worker's events land on its own
-        // registry shard and trace track.
-        obs::PhaseTimer run_timer(config_.metrics, obs::Phase::kBackendRun);
-        outcomes[i] = managers_[i]->Execute(batch[i]);
-      });
-    }
-    pool_.Wait();
-
-    // Report results in manager order (deterministic for a fixed count).
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Process(batch[i], std::move(outcomes[i]), /*notify_observer=*/true);
-      const SessionRecord& last = result_.records.back();
-      if (last.impact >= target.impact_threshold) {
-        ++found_above_threshold;
-      }
-      if (last.outcome.crashed) {
-        ++crashes_found;
-      }
-      if (target.stop_after_found > 0 && found_above_threshold >= target.stop_after_found) {
-        done = true;
-      }
-      if (target.stop_after_crashes > 0 && crashes_found >= target.stop_after_crashes) {
-        done = true;
-      }
-    }
-    if (result_.space_exhausted) {
-      break;
-    }
-  }
-
-  std::unordered_set<size_t> failure_clusters;
-  std::unordered_set<size_t> crash_clusters;
-  for (const SessionRecord& r : result_.records) {
-    if (!r.outcome.fault_triggered) {
-      continue;
-    }
-    if (r.outcome.test_failed) {
-      failure_clusters.insert(r.cluster_id);
-    }
-    if (r.outcome.crashed) {
-      crash_clusters.insert(r.cluster_id);
-    }
-  }
-  result_.clusters = clusterer_.cluster_count();
-  result_.unique_failures = failure_clusters.size();
-  result_.unique_crashes = crash_clusters.size();
-  return result_;
-}
+    : ExplorationSession(explorer, ManagerRunners(std::move(managers)), std::move(config)) {}
 
 }  // namespace afex

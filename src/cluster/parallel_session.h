@@ -1,70 +1,31 @@
-// ParallelSession: the cluster-mode exploration loop (paper §6.1). One
-// explorer feeds a pool of node managers; tests are independent, so the
-// system is embarrassingly parallel — the explorer's candidate generation
-// is orders of magnitude cheaper than test execution, so it never
-// bottlenecks the managers.
+// ParallelSession: the cluster-mode exploration loop (paper §6.1) over
+// NodeManagers. One explorer feeds a pool of node managers; tests are
+// independent, so the system is embarrassingly parallel — the explorer's
+// candidate generation is orders of magnitude cheaper than test execution,
+// so it never bottlenecks the managers.
 //
-// Execution proceeds in rounds: the explorer issues one candidate per idle
-// manager, the managers run concurrently, then results are reported back in
-// manager order. Round-batching keeps results deterministic for a fixed
-// manager count (at the cost of a barrier per round), which the tests rely
-// on; wall-clock scalability is preserved because all managers in a round
-// run concurrently. It also gives journal replay a reproducible issue /
-// report interleaving, so a campaign interrupted mid-flight can be resumed
-// from its record log (src/campaign/).
+// It is an ExplorationSession with one node per manager: the same
+// round-batched issue / execute / report loop, stop criteria and journal
+// replay (core/session.h). Only the adaptation of each manager's
+// startup -> test -> cleanup hooks into a node runner lives here.
 #ifndef AFEX_CLUSTER_PARALLEL_SESSION_H_
 #define AFEX_CLUSTER_PARALLEL_SESSION_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/node_manager.h"
 #include "core/session.h"
-#include "util/thread_pool.h"
 
 namespace afex {
 
-class ParallelSession {
+class ParallelSession : public ExplorationSession {
  public:
-  // `managers` must be non-empty; one worker thread per manager.
+  // `managers` must be non-empty; the session owns them.
   ParallelSession(Explorer& explorer, std::vector<std::unique_ptr<NodeManager>> managers,
                   SessionConfig config = {});
 
-  // Runs until the target is met or the space is exhausted. May be called
-  // after Replay to continue a resumed campaign. Returns the accumulated
-  // result (also available via result()).
-  const SessionResult& Run(const SearchTarget& target);
-
-  // Rebuilds session state from journaled records without executing any
-  // test, re-issuing explorer candidates in the same round-batched order
-  // Run(target) would have used (all of a round's candidates are issued
-  // before any of its results is reported). Only whole rounds are
-  // consumed: a trailing partial round — records lost to a mid-round kill —
-  // is ignored and simply re-executes on the next Run, which is equivalent
-  // because execution is deterministic. Returns the number of records
-  // consumed, or nullopt when the explorer produced a different candidate
-  // than the journal (journal/config mismatch). Does not fire the record
-  // observer.
-  std::optional<size_t> Replay(const std::vector<SessionRecord>& records,
-                               const SearchTarget& target);
-
-  const SessionResult& result() const { return result_; }
-  const RedundancyClusterer& clusterer() const { return clusterer_; }
-  size_t manager_count() const { return managers_.size(); }
-
- private:
-  // Size of the next issue round given the remaining budget; 0 = stop.
-  size_t NextRoundSize(const SearchTarget& target) const;
-  // Shared tail of Run/Replay reporting: score, weigh, cluster, record.
-  void Process(const Fault& fault, TestOutcome outcome, bool notify_observer);
-
-  Explorer* explorer_;
-  std::vector<std::unique_ptr<NodeManager>> managers_;
-  SessionConfig config_;
-  ThreadPool pool_;
-  RedundancyClusterer clusterer_;
-  SessionResult result_;
+  size_t manager_count() const { return node_count(); }
 };
 
 }  // namespace afex

@@ -1,68 +1,165 @@
 #include "core/session.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 #include "util/log.h"
 
 namespace afex {
 
-ExplorationSession::ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config)
+uint64_t RecordDigest(const std::vector<SessionRecord>& records) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      h = (h ^ ((v >> shift) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_string = [&h](const std::string& s) {
+    for (unsigned char c : s) {
+      h = (h ^ c) * 0x100000001b3ULL;
+    }
+    h = (h ^ 0xff) * 0x100000001b3ULL;  // terminator: "ab","c" != "a","bc"
+  };
+  for (const SessionRecord& r : records) {
+    for (size_t i = 0; i < r.fault.dimensions(); ++i) {
+      mix(r.fault[i]);
+    }
+    mix(std::bit_cast<uint64_t>(r.fitness));
+    mix(r.cluster_id);
+    const TestOutcome& o = r.outcome;
+    mix(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
+        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0));
+    mix(o.new_blocks_covered);
+    for (uint32_t block : o.new_block_ids) {
+      mix(block);
+    }
+    for (const std::string& frame : o.injection_stack) {
+      mix_string(frame);
+    }
+    mix_string(o.detail);
+  }
+  return h;
+}
+
+ExplorationSession::ExplorationSession(Explorer& explorer, std::vector<Runner> runners,
+                                       SessionConfig config)
     : explorer_(&explorer),
-      runner_(std::move(runner)),
+      runners_(std::move(runners)),
       config_(std::move(config)),
-      clusterer_(config_.cluster_config) {}
+      clusterer_(config_.cluster_config),
+      batch_(runners_.size()),
+      outcomes_(runners_.size()),
+      pool_(runners_.size() > 1 ? std::make_unique<ThreadPool>(runners_.size() - 1) : nullptr) {}
+
+ExplorationSession::ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config)
+    : ExplorationSession(explorer, std::vector<Runner>{std::move(runner)}, std::move(config)) {}
 
 ExplorationSession::ExplorationSession(Explorer& explorer, TargetBackend& backend,
                                        const FaultSpace& space, SessionConfig config)
     : ExplorationSession(
           explorer,
-          [&backend, &space](const Fault& fault) { return backend.RunFault(space, fault); },
+          Runner([&backend, &space](const Fault& fault) { return backend.RunFault(space, fault); }),
           std::move(config)) {}
 
-bool ExplorationSession::Step() {
-  obs::PhaseTimer next_timer(config_.metrics, obs::Phase::kExplorerNext);
-  auto candidate = explorer_->NextCandidate();
-  next_timer.Finish();
-  if (!candidate.has_value()) {
-    result_.space_exhausted = true;
+size_t ExplorationSession::RoundSize(const SearchTarget& target) const {
+  if (target.max_tests == 0) {
+    return runners_.size();
+  }
+  return std::min(runners_.size(),
+                  target.max_tests - std::min(target.max_tests, result_.tests_executed));
+}
+
+bool ExplorationSession::Step() { return RunRound(runners_.size()); }
+
+bool ExplorationSession::RunRound(size_t size) {
+  size_t issued = 0;
+  for (; issued < size; ++issued) {
+    obs::PhaseTimer next_timer(config_.metrics, obs::Phase::kExplorerNext);
+    std::optional<Fault> candidate = explorer_->NextCandidate();
+    next_timer.Finish();
+    if (!candidate.has_value()) {
+      result_.space_exhausted = true;
+      break;
+    }
+    batch_[issued] = std::move(*candidate);
+  }
+  if (issued == 0) {
     return false;
   }
-  obs::PhaseTimer run_timer(config_.metrics, obs::Phase::kBackendRun);
-  TestOutcome outcome = runner_(*candidate);
-  run_timer.Finish();
-  Process(*candidate, std::move(outcome), /*notify_observer=*/true);
+  for (size_t slot = 0; slot + 1 < issued; ++slot) {
+    pool_->Submit([this, slot] { Execute(slot); });
+  }
+  Execute(issued - 1);
+  if (issued > 1) {
+    pool_->Wait();
+  }
+  // Report in node order: deterministic for a fixed node count.
+  for (size_t slot = 0; slot < issued; ++slot) {
+    Report(std::move(batch_[slot]), std::move(outcomes_[slot]), /*live=*/true);
+  }
   return true;
+}
+
+void ExplorationSession::Execute(size_t slot) {
+  // Timed on the executing thread: each worker's events land on its own
+  // registry shard and trace track.
+  obs::PhaseTimer run_timer(config_.metrics, obs::Phase::kBackendRun);
+  outcomes_[slot] = runners_[slot](batch_[slot]);
+}
+
+std::optional<size_t> ExplorationSession::Replay(const std::vector<SessionRecord>& records,
+                                                 const SearchTarget& target) {
+  size_t consumed = 0;
+  while (true) {
+    const size_t round = RoundSize(target);
+    if (round == 0 || records.size() - consumed < round) {
+      return consumed;
+    }
+    if (!ReplayRound(std::span(records).subspan(consumed, round))) {
+      return std::nullopt;
+    }
+    consumed += round;
+  }
 }
 
 bool ExplorationSession::Replay(const SessionRecord& record) {
-  auto candidate = explorer_->NextCandidate();
-  if (!candidate.has_value() || !(*candidate == record.fault)) {
-    return false;
+  return runners_.size() == 1 && ReplayRound(std::span(&record, 1));
+}
+
+bool ExplorationSession::ReplayRound(std::span<const SessionRecord> round) {
+  // Mirror RunRound's call order: the whole round is issued before any
+  // result is reported (feedback-driven explorers depend on the
+  // interleaving).
+  for (const SessionRecord& record : round) {
+    std::optional<Fault> candidate = explorer_->NextCandidate();
+    if (!candidate.has_value() || !(*candidate == record.fault)) {
+      return false;
+    }
   }
-  Process(record.fault, record.outcome, /*notify_observer=*/false);
+  for (const SessionRecord& record : round) {
+    Report(record.fault, record.outcome, /*live=*/false);
+  }
   return true;
 }
 
-void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
-                          RedundancyClusterer& clusterer, SessionResult& result,
-                          const Fault& fault, TestOutcome outcome, bool notify_observer) {
+void ExplorationSession::Report(Fault fault, TestOutcome outcome, bool live) {
   SessionRecord record;
-  record.fault = fault;
+  record.fault = std::move(fault);
   record.outcome = std::move(outcome);
-  record.impact = config.policy.Score(record.outcome);
+  record.impact = config_.policy.Score(record.outcome);
   record.fitness = record.impact;
 
-  if (config.environment_model != nullptr) {
-    record.fitness *= config.environment_model->Relevance(explorer.space(), record.fault);
+  if (config_.environment_model != nullptr) {
+    record.fitness *= config_.environment_model->Relevance(explorer_->space(), record.fault);
   }
   // Feedback weighting and cluster assignment share one sweep over the
   // cluster representatives (the observation measures similarity against
   // the representatives as they stood before this stack was assigned).
   static const std::vector<std::string> kNoStack;
-  const bool want_similarity = config.redundancy_feedback && record.outcome.fault_triggered;
-  obs::PhaseTimer observe_timer(config.metrics, obs::Phase::kClusterObserve);
-  ClusterObservation observation = clusterer.Observe(
+  const bool want_similarity = config_.redundancy_feedback && record.outcome.fault_triggered;
+  obs::PhaseTimer observe_timer(config_.metrics, obs::Phase::kClusterObserve);
+  ClusterObservation observation = clusterer_.Observe(
       record.outcome.fault_triggered ? record.outcome.injection_stack : kNoStack,
       want_similarity);
   observe_timer.Finish();
@@ -73,52 +170,47 @@ void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
   }
   record.cluster_id = observation.cluster_id;
 
-  explorer.ReportResult(record.fault, record.fitness);
+  explorer_->ReportResult(record.fault, record.fitness);
 
-  ++result.tests_executed;
+  ++result_.tests_executed;
   if (record.outcome.test_failed) {
-    ++result.failed_tests;
+    ++result_.failed_tests;
   }
   if (record.outcome.crashed) {
-    ++result.crashes;
+    ++result_.crashes;
   }
   if (record.outcome.hung) {
-    ++result.hangs;
+    ++result_.hangs;
   }
   if (record.outcome.recovery_failed) {
-    ++result.recovery_failures;
+    ++result_.recovery_failures;
   }
   if (record.outcome.invariant_violated) {
-    ++result.invariant_violations;
+    ++result_.invariant_violations;
   }
   // new_block_ids are disjoint across records by construction (each id is
   // new relative to the backend's accumulator), so the sum is the count of
   // distinct blocks the campaign has covered.
-  result.blocks_covered += record.outcome.new_block_ids.size();
-  result.total_impact += record.impact;
-  result.records.push_back(std::move(record));
-  if (notify_observer && config.record_observer) {
-    config.record_observer(result.records.back());
+  result_.blocks_covered += record.outcome.new_block_ids.size();
+  result_.total_impact += record.impact;
+  result_.records.push_back(std::move(record));
+  if (live && config_.record_observer) {
+    config_.record_observer(result_.records.back());
   }
   // Progress fires only for live executions — replayed records already
   // counted in the original run and would skew the rate.
-  if (notify_observer && config.metrics != nullptr) {
+  if (live && config_.metrics != nullptr) {
     obs::ProgressUpdate update;
-    update.tests_executed = result.tests_executed;
-    update.failed_tests = result.failed_tests;
-    update.crashes = result.crashes;
-    update.hangs = result.hangs;
-    update.clusters = clusterer.cluster_count();
-    update.recovery_failures = result.recovery_failures;
-    update.invariant_violations = result.invariant_violations;
-    update.covered_blocks = result.blocks_covered;
-    config.metrics->OnTestExecuted(update);
+    update.tests_executed = result_.tests_executed;
+    update.failed_tests = result_.failed_tests;
+    update.crashes = result_.crashes;
+    update.hangs = result_.hangs;
+    update.clusters = clusterer_.cluster_count();
+    update.recovery_failures = result_.recovery_failures;
+    update.invariant_violations = result_.invariant_violations;
+    update.covered_blocks = result_.blocks_covered;
+    config_.metrics->OnTestExecuted(update);
   }
-}
-
-void ExplorationSession::Process(const Fault& fault, TestOutcome outcome, bool notify_observer) {
-  ProcessSessionRecord(config_, *explorer_, clusterer_, result_, fault, std::move(outcome),
-                       notify_observer);
 }
 
 const SessionResult& ExplorationSession::Run(const SearchTarget& target) {
@@ -127,37 +219,35 @@ const SessionResult& ExplorationSession::Run(const SearchTarget& target) {
   // the uninterrupted one would have.
   size_t found_above_threshold = 0;
   size_t crashes_found = 0;
-  for (const SessionRecord& r : result_.records) {
+  auto count = [&](const SessionRecord& r) {
     if (r.impact >= target.impact_threshold) {
       ++found_above_threshold;
     }
     if (r.outcome.crashed) {
       ++crashes_found;
     }
+  };
+  auto met = [&] {
+    return (target.stop_after_found > 0 && found_above_threshold >= target.stop_after_found) ||
+           (target.stop_after_crashes > 0 && crashes_found >= target.stop_after_crashes);
+  };
+  for (const SessionRecord& r : result_.records) {
+    count(r);
   }
-  while (true) {
-    if (target.max_tests > 0 && result_.tests_executed >= target.max_tests) {
+  while (!met()) {
+    const size_t before = result_.records.size();
+    if (!RunRound(RoundSize(target))) {
       break;
     }
-    if (target.stop_after_found > 0 && found_above_threshold >= target.stop_after_found) {
-      break;
+    for (size_t i = before; i < result_.records.size(); ++i) {
+      count(result_.records[i]);
     }
-    if (target.stop_after_crashes > 0 && crashes_found >= target.stop_after_crashes) {
-      break;
-    }
-    if (!Step()) {
-      break;
-    }
-    const SessionRecord& last = result_.records.back();
-    if (last.impact >= target.impact_threshold) {
-      ++found_above_threshold;
-    }
-    if (last.outcome.crashed) {
-      ++crashes_found;
-    }
-    if (result_.tests_executed % 1000 == 0) {
+    if (before / 1000 != result_.records.size() / 1000) {
       AFEX_LOG(kInfo) << "session: " << result_.tests_executed << " tests, "
                       << result_.failed_tests << " failed, " << result_.crashes << " crashes";
+    }
+    if (result_.space_exhausted) {
+      break;
     }
   }
 

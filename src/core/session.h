@@ -5,14 +5,23 @@
 // report fitness back to the explorer, and stop when the search target is
 // met.
 //
-// The runner abstracts the node-manager side (start scripts, injectors,
-// sensors); for the simulated targets it is a closure around a sim harness,
-// and the cluster/ module provides a parallel implementation with the same
-// semantics.
+// A runner abstracts one node manager (start scripts, injectors, sensors);
+// for the simulated targets it is a closure around a sim harness. The
+// session is the prototype's one explorer feeding a pool of nodes (§6.1),
+// executed in rounds: the explorer issues one candidate per node, the nodes
+// run concurrently, then the results are reported in node order. Rounds
+// keep the record sequence deterministic for a fixed node count, and give
+// journal replay a reproducible issue / report interleaving. A one-node
+// session is the serial campaign: each round issues, executes and reports
+// exactly one test, on the calling thread.
 #ifndef AFEX_CORE_SESSION_H_
 #define AFEX_CORE_SESSION_H_
 
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +30,7 @@
 #include "core/impact.h"
 #include "core/relevance.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace afex {
 
@@ -47,6 +57,13 @@ struct SessionRecord {
   size_t cluster_id = 0;
 };
 
+// FNV-1a over every record's fault indices, fitness bit pattern, cluster id
+// and full outcome (exit code, crash/hang/trigger flags, new-block ids,
+// injection stack, detail). Two campaigns agree on it iff their record
+// sequences are identical, so it is the behavioural contract the golden
+// tests and the benches check.
+uint64_t RecordDigest(const std::vector<SessionRecord>& records);
+
 struct SessionConfig {
   ImpactPolicy policy;
   // Online redundancy feedback (paper §7.4): scale fitness linearly by
@@ -58,8 +75,7 @@ struct SessionConfig {
   const EnvironmentModel* environment_model = nullptr;
   // Called with every *executed* record, in report order, right after it is
   // appended to the result. Replayed records (campaign resume) do not fire
-  // it. The campaign journal hooks in here; both the serial and the
-  // parallel session invoke it identically.
+  // it. The campaign journal hooks in here.
   std::function<void(const SessionRecord&)> record_observer;
   // Optional telemetry sink (obs/telemetry.h). Null disables every
   // instrumentation site at the cost of one predicted branch per phase.
@@ -123,60 +139,87 @@ struct SessionResult {
   bool space_exhausted = false;
 };
 
-// The one scoring pipeline both the serial and the parallel session (and
-// their journal-replay paths) run per executed test: score the outcome,
-// weigh fitness by relevance and redundancy, cluster, report to the
-// explorer, update the result counters, append the record, and — for live
-// executions only — fire the record observer. Keeping this shared is what
-// guarantees serial and cluster campaigns score identical outcomes
-// identically (and that replay reproduces both).
-void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
-                          RedundancyClusterer& clusterer, SessionResult& result,
-                          const Fault& fault, TestOutcome outcome, bool notify_observer);
-
 class ExplorationSession {
  public:
   using Runner = std::function<TestOutcome(const Fault&)>;
 
+  // One runner per node; `runners` must be non-empty. Node i runs the i-th
+  // candidate of every round: the last one on the calling thread, the others
+  // on a pool of runners.size() - 1 workers (none for a single node).
+  ExplorationSession(Explorer& explorer, std::vector<Runner> runners, SessionConfig config = {});
+
+  // One-node session over `runner`.
   ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config = {});
 
-  // Backend-agnostic form: runs every candidate through
+  // Backend-agnostic one-node form: runs every candidate through
   // `backend.RunFault(space, fault)`. Both must outlive the session.
   ExplorationSession(Explorer& explorer, TargetBackend& backend, const FaultSpace& space,
                      SessionConfig config = {});
 
-  // Runs until the target is met or the space is exhausted. Returns the
-  // accumulated result (also available via result()).
+  // Runs rounds until the target is met or the space is exhausted; the last
+  // round is shortened to the remaining max_tests budget. May be called
+  // after Replay to continue a resumed campaign. Returns the accumulated
+  // result (also available via result()).
   const SessionResult& Run(const SearchTarget& target);
 
-  // Runs exactly one more test; returns false when the space is exhausted.
-  // Exposed so callers can interleave their own bookkeeping (the figure
-  // benches sample the failure curve every iteration this way).
+  // Runs one more round of node_count() tests (fewer if the space runs
+  // out); returns false when the explorer was exhausted before issuing any
+  // candidate. Exposed so callers can
+  // interleave their own bookkeeping (the figure benches sample the failure
+  // curve every iteration this way).
   bool Step();
 
-  // Rebuilds one step of session state from a journaled record without
-  // executing the runner: pulls the next candidate from the explorer,
-  // verifies it matches `record.fault`, and routes `record.outcome` through
-  // the normal scoring / clustering / feedback path. Impact and fitness are
-  // recomputed, so a resumed session is bit-identical to the uninterrupted
-  // one. Returns false when the explorer is exhausted or produces a
-  // different candidate — i.e. the journal was not written by a session
-  // with this explorer, seed, and config. Does not fire the record
-  // observer.
+  // Rebuilds session state from journaled records without executing any
+  // test, re-issuing explorer candidates in the same round-batched order
+  // Run(target) would have used, verifying each against the record's fault
+  // and routing the journaled outcome through the normal scoring /
+  // clustering / feedback path (impact and fitness are recomputed, so a
+  // resumed session is bit-identical to the uninterrupted one). Only whole
+  // rounds are consumed: a trailing partial round — records lost to a
+  // mid-round kill — is ignored and simply re-executes on the next Run,
+  // which is equivalent because execution is deterministic. Returns the
+  // number of records consumed, or nullopt when the explorer produced a
+  // different candidate than the journal (journal/config mismatch). Does
+  // not fire the record observer.
+  std::optional<size_t> Replay(const std::vector<SessionRecord>& records,
+                               const SearchTarget& target);
+
+  // Replays one record as one round; true only when that record is a whole
+  // round (a one-node session) and matches the explorer's next candidate.
   bool Replay(const SessionRecord& record);
 
   const SessionResult& result() const { return result_; }
   const RedundancyClusterer& clusterer() const { return clusterer_; }
+  size_t node_count() const { return runners_.size(); }
 
  private:
-  // Shared tail of Step/Replay: score, weigh, cluster, report, record.
-  void Process(const Fault& fault, TestOutcome outcome, bool notify_observer);
+  // Size of the next round given the remaining budget; 0 = stop.
+  size_t RoundSize(const SearchTarget& target) const;
+  // Issues, executes and reports one round of up to `size` tests; returns
+  // false when the explorer was exhausted before the first candidate.
+  bool RunRound(size_t size);
+  void Execute(size_t slot);
+  // Issues one candidate per record, checks each against the record's
+  // fault, then reports the journaled outcomes; false on a mismatch.
+  bool ReplayRound(std::span<const SessionRecord> round);
+  // The one scoring path for executed and replayed tests: score, weigh by
+  // relevance and redundancy, cluster, report to the explorer, update the
+  // counters, append the record and — for live executions only — fire the
+  // record observer and the progress update.
+  void Report(Fault fault, TestOutcome outcome, bool live);
 
   Explorer* explorer_;
-  Runner runner_;
+  std::vector<Runner> runners_;
   SessionConfig config_;
   RedundancyClusterer clusterer_;
   SessionResult result_;
+  // Round buffers, reused across rounds: slot i holds node i's candidate
+  // and, once the round has executed, its outcome.
+  std::vector<Fault> batch_;
+  std::vector<TestOutcome> outcomes_;
+  // Workers for slots 0..n-2 (null for a one-node session). Declared last
+  // so it is destroyed, joining its threads, before the members they use.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace afex

@@ -178,9 +178,9 @@ class MetricsRegistry {
 
 // ---- sink + timer ----------------------------------------------------------
 
-// Aggregate progress counters, fired once per live executed test from
-// ProcessSessionRecord (serially even under --jobs: results are reported in
-// manager order).
+// Aggregate progress counters, fired once per live executed test from the
+// exploration session's scoring path (serially even under --jobs: results
+// are reported on the calling thread, in node order).
 struct ProgressUpdate {
   size_t tests_executed = 0;
   size_t failed_tests = 0;

@@ -10,9 +10,9 @@
 //   * ProgressReporter — per-test progress updates drive the periodic
 //                        status line.
 //
-// One CampaignTelemetry serves the whole campaign: the serial session, the
-// parallel session's workers, every per-node backend, and the journal all
-// share it (the registry shards writes per thread).
+// One CampaignTelemetry serves the whole campaign: the session, its node
+// workers, every per-node backend, and the journal all share it (the
+// registry shards writes per thread).
 #ifndef AFEX_OBS_TELEMETRY_H_
 #define AFEX_OBS_TELEMETRY_H_
 

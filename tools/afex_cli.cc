@@ -8,9 +8,9 @@
 // append-only record log before the next test starts, --resume replays that
 // log to continue an interrupted campaign exactly where it stopped, and
 // --warm-start seeds a fresh fitness search with a prior campaign's results
-// (paper §7 knowledge reuse). --jobs runs the campaign through the
-// cluster-mode parallel session; --export dumps the full record set as CSV
-// or JSON for offline analysis.
+// (paper §7 knowledge reuse). --jobs=N runs the campaign's rounds on N
+// nodes, each with its own backend (--jobs=1 is the serial campaign);
+// --export dumps the full record set as CSV or JSON for offline analysis.
 //
 // Usage:
 //   afex_cli --target=<coreutils|minidb|webserver|docstore-v0.8|docstore-v2.0>
@@ -47,10 +47,8 @@
 #include "analysis/target_profile.h"
 #include "campaign/export.h"
 #include "campaign/store.h"
-#include "cluster/node_manager.h"
 #include "exec/feedback_block.h"
 #include "exec/real_target_harness.h"
-#include "cluster/parallel_session.h"
 #include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
@@ -782,19 +780,28 @@ int main(int argc, char** argv) {
     meta.analysis_fingerprint = analysis::TargetProfileFingerprint(*profile);
   }
 
-  const SessionResult* result = nullptr;  // owned by whichever session ran
-  const RedundancyClusterer* clusterer = nullptr;
   const SearchTarget search_target{.max_tests = options.budget};
   size_t replayed_tests = 0;   // journal records consumed by --resume
   double campaign_seconds = 0.0;
 
   // Declared at function scope: the report section below reads the
-  // session's clusterer, and the sessions hold references to the store
-  // (observer) and the node harnesses (runner hooks).
+  // session's result and clusterer, and the session holds references to the
+  // store (observer) and the node backends (runners).
   std::optional<CampaignStore> store;
-  std::optional<ExplorationSession> serial_session;
-  std::optional<ParallelSession> parallel_session;
-  std::vector<std::unique_ptr<TargetBackend>> node_backends;
+  std::optional<ExplorationSession> session;
+  // One backend per node, each with its own coverage accumulator (and for
+  // real targets its own scratch root), as on a real cluster where every
+  // machine observes coverage locally. Node 0 is the primary backend.
+  std::vector<std::unique_ptr<TargetBackend>> extra_backends;
+  std::vector<TargetBackend*> nodes = {backend};
+  for (size_t i = 1; i < options.jobs; ++i) {
+    if (real_backend) {
+      extra_backends.push_back(std::make_unique<exec::RealTargetHarness>(real_config));
+    } else {
+      extra_backends.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
+    }
+    nodes.push_back(extra_backends.back().get());
+  }
 
   // Campaign telemetry (src/obs): constructed only when one of the three
   // observability flags asked for it — otherwise every instrumentation site
@@ -808,9 +815,8 @@ int main(int argc, char** argv) {
     telemetry_config.progress.budget = options.budget;
     // Under --jobs the progress line samples node 0's local coverage view
     // (the cross-node union is only aggregated at campaign end).
-    telemetry_config.progress.coverage_fraction = [backend, &node_backends]() -> double {
-      return node_backends.empty() ? backend->CoverageFraction()
-                                   : node_backends[0]->CoverageFraction();
+    telemetry_config.progress.coverage_fraction = [backend] {
+      return backend->CoverageFraction();
     };
     if (options.strategy == "fitness") {
       auto* fitness = static_cast<FitnessExplorer*>(explorer.get());
@@ -821,7 +827,9 @@ int main(int argc, char** argv) {
     telemetry.emplace(std::move(telemetry_config));
   }
   obs::MetricsSink* metrics_sink = telemetry.has_value() ? &*telemetry : nullptr;
-  backend->set_metrics_sink(metrics_sink);
+  for (TargetBackend* node : nodes) {
+    node->set_metrics_sink(metrics_sink);
+  }
 
   try {
     // Warm start (paper §7 knowledge reuse): seed the fitness search with a
@@ -844,7 +852,7 @@ int main(int argc, char** argv) {
     }
     if (options.resume && store->records().size() > options.budget) {
       // A smaller budget would truncate completed results out of the
-      // journal (and, serially, over-run the requested budget on replay).
+      // journal.
       std::fprintf(stderr,
                    "--budget=%zu is smaller than the %zu tests already journaled in '%s'; "
                    "resume with --budget >= %zu\n",
@@ -861,91 +869,47 @@ int main(int argc, char** argv) {
       store->SetMetricsSink(metrics_sink);
     }
 
-    auto print_replay_mismatch = [&options] {
-      std::fprintf(stderr,
-                   "journal '%s' does not replay against this configuration "
-                   "(was it written by a different build?)\n",
-                   options.journal.c_str());
-    };
-
-    if (options.jobs == 1) {
-      // Serial campaign.
-      auto& session = serial_session;
-      session.emplace(*explorer, *backend, space, session_config);
-      if (options.resume) {
-        for (const SessionRecord& record : store->records()) {
-          if (!session->Replay(record)) {
-            print_replay_mismatch();
-            return 2;
-          }
-        }
-        store->CommitResume(store->records().size());
-        backend->SeedCoverage(store->CoverageIdsForNode(0));
-        replayed_tests = store->records().size();
-        std::printf("resumed %zu journaled tests from %s\n", store->records().size(),
-                    options.journal.c_str());
-      }
-      auto started = std::chrono::steady_clock::now();
-      result = &session->Run(search_target);
-      campaign_seconds = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - started).count();
-      clusterer = &session->clusterer();
-    } else {
-      // Cluster campaign: one backend (with its own coverage accumulator,
-      // and for real targets its own scratch root) per job, as on a real
-      // cluster where every machine observes coverage locally.
-      std::vector<std::unique_ptr<NodeManager>> managers;
-      for (size_t i = 0; i < options.jobs; ++i) {
-        if (real_backend) {
-          node_backends.push_back(std::make_unique<exec::RealTargetHarness>(real_config));
-        } else {
-          node_backends.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
-        }
-        TargetBackend* b = node_backends[i].get();
-        b->set_metrics_sink(metrics_sink);
-        managers.push_back(std::make_unique<NodeManager>(
-            "node" + std::to_string(i),
-            NodeManager::Hooks{.test = [b, &space](const Fault& f) {
-              return b->RunFault(space, f);
-            }}));
-      }
-      auto& session = parallel_session;
-      session.emplace(*explorer, std::move(managers), session_config);
-      if (options.resume) {
-        std::optional<size_t> consumed = session->Replay(store->records(), search_target);
-        if (!consumed.has_value()) {
-          print_replay_mismatch();
-          return 2;
-        }
-        size_t dropped = store->records().size() - *consumed;
-        store->CommitResume(*consumed);
-        for (size_t i = 0; i < options.jobs; ++i) {
-          node_backends[i]->SeedCoverage(store->CoverageIdsForNode(i));
-        }
-        replayed_tests = *consumed;
-        std::printf("resumed %zu journaled tests from %s", *consumed, options.journal.c_str());
-        if (dropped > 0) {
-          std::printf(" (%zu from an incomplete round will re-execute)", dropped);
-        }
-        std::printf("\n");
-      }
-      auto started = std::chrono::steady_clock::now();
-      result = &session->Run(search_target);
-      campaign_seconds = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - started).count();
-      clusterer = &session->clusterer();
+    std::vector<ExplorationSession::Runner> runners;
+    for (TargetBackend* node : nodes) {
+      runners.push_back([node, &space](const Fault& f) { return node->RunFault(space, f); });
     }
+    session.emplace(*explorer, std::move(runners), session_config);
+    if (options.resume) {
+      std::optional<size_t> consumed = session->Replay(store->records(), search_target);
+      if (!consumed.has_value()) {
+        std::fprintf(stderr,
+                     "journal '%s' does not replay against this configuration "
+                     "(was it written by a different build?)\n",
+                     options.journal.c_str());
+        return 2;
+      }
+      size_t dropped = store->records().size() - *consumed;
+      store->CommitResume(*consumed);
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        nodes[i]->SeedCoverage(store->CoverageIdsForNode(i));
+      }
+      replayed_tests = *consumed;
+      std::printf("resumed %zu journaled tests from %s", *consumed, options.journal.c_str());
+      if (dropped > 0) {
+        std::printf(" (%zu from an incomplete round will re-execute)", dropped);
+      }
+      std::printf("\n");
+    }
+    auto started = std::chrono::steady_clock::now();
+    const SessionResult& result = session->Run(search_target);
+    campaign_seconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - started).count();
 
     std::printf("\nexecuted %zu tests: %zu failed, %zu crashed, %zu hung; "
                 "%zu behaviour clusters (%zu failure, %zu crash)\n",
-                result->tests_executed, result->failed_tests, result->crashes, result->hangs,
-                result->clusters, result->unique_failures, result->unique_crashes);
+                result.tests_executed, result.failed_tests, result.crashes, result.hangs,
+                result.clusters, result.unique_failures, result.unique_crashes);
     // Campaign throughput, so tests/sec is visible without the bench
     // binaries. Replayed (resumed) records are bookkeeping, not executions,
     // and are excluded from the rate.
-    size_t live_tests = result->tests_executed - replayed_tests;
-    size_t sim_steps = backend->total_sim_steps();
-    for (const auto& node : node_backends) {
+    size_t live_tests = result.tests_executed - replayed_tests;
+    size_t sim_steps = 0;
+    for (TargetBackend* node : nodes) {
       sim_steps += node->total_sim_steps();
     }
     std::printf("campaign wall time %.3f s", campaign_seconds);
@@ -960,21 +924,20 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("\n");
-    if (options.jobs == 1) {
-      std::printf("coverage %.1f%% (recovery %.1f%%)\n", 100 * backend->CoverageFraction(),
-                  100 * backend->RecoveryCoverageFraction());
-    } else {
-      // Aggregate coverage across nodes: every covered block was new to its
-      // node exactly once, so the union of per-record new-block ids is the
-      // union of all blocks covered anywhere on the cluster.
-      CoverageAccumulator aggregate(node_backends[0]->coverage_total_blocks(),
-                                    node_backends[0]->coverage_recovery_base());
-      for (const SessionRecord& r : result->records) {
-        aggregate.MergeIds(r.outcome.new_block_ids);
-      }
-      std::printf("coverage %.1f%% (recovery %.1f%%) across %zu nodes\n",
-                  100 * aggregate.Fraction(), 100 * aggregate.RecoveryFraction(), options.jobs);
+    // Aggregate coverage across nodes: every covered block was new to its
+    // node exactly once, so the union of per-record new-block ids is the
+    // union of all blocks covered anywhere on the cluster.
+    CoverageAccumulator aggregate(backend->coverage_total_blocks(),
+                                  backend->coverage_recovery_base());
+    for (const SessionRecord& r : result.records) {
+      aggregate.MergeIds(r.outcome.new_block_ids);
     }
+    std::printf("coverage %.1f%% (recovery %.1f%%)", 100 * aggregate.Fraction(),
+                100 * aggregate.RecoveryFraction());
+    if (options.jobs > 1) {
+      std::printf(" across %zu nodes", options.jobs);
+    }
+    std::printf("\n");
   } catch (const CampaignError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -1009,7 +972,7 @@ int main(int argc, char** argv) {
   if (telemetry.has_value()) {
     builder.set_telemetry_note(telemetry->SynopsisLine());
   }
-  Report report = builder.Build(*result, *clusterer,
+  Report report = builder.Build(session->result(), session->clusterer(),
                                 /*min_impact=*/options.crashes_only ? 20.0 : 10.0);
   std::printf("\n%s", builder.Render(report).c_str());
   std::printf("\ntop findings (one representative per behaviour cluster):\n");
@@ -1039,9 +1002,9 @@ int main(int argc, char** argv) {
     }
     std::ostream& out = to_stdout ? std::cout : file;
     if (options.export_format == "csv") {
-      ExportCsv(space, *result, out);
+      ExportCsv(space, session->result(), out);
     } else {
-      ExportJson(meta, space, *result, out,
+      ExportJson(meta, space, session->result(), out,
                  metrics_snapshot.has_value() ? &*metrics_snapshot : nullptr);
     }
     out.flush();
