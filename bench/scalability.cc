@@ -10,8 +10,10 @@
 // with sleeps: simulated tests finish in microseconds, so the printed
 // speedup is what the round-batched session achieves when per-round issue,
 // dispatch and report are a real share of the work. The paper's tests take
-// about a minute each, where that share vanishes. Each cell is the best of
-// a few trials; nothing is gated.
+// about a minute each, where that share vanishes. One more cell runs twice
+// as many managers as cores: there the session's threads sleep between
+// rounds instead of spinning, so that row shows the cost of the futex
+// hand-off. Each cell is the best of a few trials; nothing is gated.
 //
 // Usage: scalability [BUDGET]   (default 20000 tests per campaign)
 #include <algorithm>
@@ -69,11 +71,15 @@ int main(int argc, char** argv) {
               budget, kTrials, cores);
   std::printf("%10s %14s %12s %12s\n", "managers", "tests/sec", "speedup", "efficiency");
 
-  double base_rate = 0.0;
+  std::vector<size_t> cells;
   for (size_t managers : {1, 2, 4}) {
-    if (managers > cores) {
-      break;
+    if (managers <= cores) {
+      cells.push_back(managers);
     }
+  }
+  cells.push_back(2 * cores);  // oversubscribed
+  double base_rate = 0.0;
+  for (size_t managers : cells) {
     double rate = 0.0;
     for (int trial = 0; trial < kTrials; ++trial) {
       rate = std::max(rate, CampaignRate(suite, space, managers, budget));
@@ -81,8 +87,9 @@ int main(int argc, char** argv) {
     if (managers == 1) {
       base_rate = rate;
     }
-    std::printf("%10zu %14.0f %11.2fx %11.0f%%\n", managers, rate, rate / base_rate,
-                100.0 * rate / base_rate / managers);
+    std::printf("%10zu %14.0f %11.2fx %11.0f%%%s\n", managers, rate, rate / base_rate,
+                100.0 * rate / base_rate / managers,
+                managers > cores ? "  (2x cores: threads sleep between rounds)" : "");
   }
 
   // Explorer-only throughput on a Phi_MySQL-sized space.

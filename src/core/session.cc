@@ -1,12 +1,63 @@
 #include "core/session.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <bit>
+#include <chrono>
+#include <exception>
 #include <unordered_set>
 
 #include "util/log.h"
 
 namespace afex {
+
+namespace {
+
+// How long a waiter spins before it sleeps: about one round's serial
+// section (report, journal append, next issue), so that back-to-back rounds
+// hand off without a futex wake.
+constexpr std::chrono::microseconds kSpin(50);
+
+size_t ProcessCpuCount() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `done(word)` holds and returns the value that satisfied it:
+// first spinning with pause for up to kSpin (if `spin`), then in futex
+// waits. Every load is acquire.
+template <typename Done>
+uint32_t Await(const std::atomic<uint32_t>& word, bool spin, Done done) {
+  uint32_t value = word.load(std::memory_order_acquire);
+  if (spin && !done(value)) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpin;
+    do {
+      for (int i = 0; i < 64 && !done(value); ++i) {
+        CpuRelax();
+        value = word.load(std::memory_order_acquire);
+      }
+    } while (!done(value) && std::chrono::steady_clock::now() < deadline);
+  }
+  while (!done(value)) {
+    word.wait(value, std::memory_order_acquire);
+    value = word.load(std::memory_order_acquire);
+  }
+  return value;
+}
+
+}  // namespace
 
 uint64_t RecordDigest(const std::vector<SessionRecord>& records) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -50,7 +101,13 @@ ExplorationSession::ExplorationSession(Explorer& explorer, std::vector<Runner> r
       clusterer_(config_.cluster_config),
       batch_(runners_.size()),
       outcomes_(runners_.size()),
-      pool_(runners_.size() > 1 ? std::make_unique<ThreadPool>(runners_.size() - 1) : nullptr) {}
+      errors_(runners_.size()),
+      spin_(runners_.size() <= ProcessCpuCount()) {
+  workers_.reserve(runners_.size() - 1);
+  for (size_t i = 1; i < runners_.size(); ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
 
 ExplorationSession::ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config)
     : ExplorationSession(explorer, std::vector<Runner>{std::move(runner)}, std::move(config)) {}
@@ -61,6 +118,15 @@ ExplorationSession::ExplorationSession(Explorer& explorer, TargetBackend& backen
           explorer,
           Runner([&backend, &space](const Fault& fault) { return backend.RunFault(space, fault); }),
           std::move(config)) {}
+
+ExplorationSession::~ExplorationSession() {
+  stopping_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (std::thread& worker : workers_) {
+    worker.join();
+  }
+}
 
 size_t ExplorationSession::RoundSize(const SearchTarget& target) const {
   if (target.max_tests == 0) {
@@ -87,12 +153,10 @@ bool ExplorationSession::RunRound(size_t size) {
   if (issued == 0) {
     return false;
   }
-  for (size_t slot = 0; slot + 1 < issued; ++slot) {
-    pool_->Submit([this, slot] { Execute(slot); });
-  }
-  Execute(issued - 1);
-  if (issued > 1) {
-    pool_->Wait();
+  if (issued == 1) {
+    Execute(0);
+  } else {
+    ExecuteRound(static_cast<uint32_t>(issued));
   }
   // Report in node order: deterministic for a fixed node count.
   for (size_t slot = 0; slot < issued; ++slot) {
@@ -106,6 +170,58 @@ void ExplorationSession::Execute(size_t slot) {
   // registry shard and trace track.
   obs::PhaseTimer run_timer(config_.metrics, obs::Phase::kBackendRun);
   outcomes_[slot] = runners_[slot](batch_[slot]);
+}
+
+void ExplorationSession::ExecuteRound(uint32_t size) {
+  pending_.store(size, std::memory_order_relaxed);
+  claim_.store(uint64_t{size} << 32, std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  ClaimSlots();
+  obs::PhaseTimer wait_timer(config_.metrics, obs::Phase::kSessionRoundWait);
+  Await(pending_, spin_, [](uint32_t pending) { return pending == 0; });
+  wait_timer.Finish();
+  // A runner that threw on any thread fails the round here, as it would
+  // have on a one-node session; the lowest slot's exception wins.
+  std::exception_ptr error;
+  for (uint32_t slot = 0; slot < size; ++slot) {
+    if (error == nullptr) {
+      error = errors_[slot];
+    }
+    errors_[slot] = nullptr;
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
+  }
+}
+
+void ExplorationSession::ClaimSlots() {
+  while (true) {
+    const uint64_t claim = claim_.fetch_add(1, std::memory_order_acquire);
+    const auto slot = static_cast<uint32_t>(claim);
+    if (slot >= claim >> 32) {
+      return;
+    }
+    try {
+      Execute(slot);
+    } catch (...) {
+      errors_[slot] = std::current_exception();
+    }
+    if (pending_.fetch_sub(1, std::memory_order_release) == 1) {
+      pending_.notify_one();
+    }
+  }
+}
+
+void ExplorationSession::WorkerLoop() {
+  uint32_t seen = 0;
+  while (true) {
+    seen = Await(epoch_, spin_, [seen](uint32_t epoch) { return epoch != seen; });
+    if (stopping_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    ClaimSlots();
+  }
 }
 
 std::optional<size_t> ExplorationSession::Replay(const std::vector<SessionRecord>& records,

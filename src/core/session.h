@@ -14,15 +14,23 @@
 // journal replay a reproducible issue / report interleaving. A one-node
 // session is the serial campaign: each round issues, executes and reports
 // exactly one test, on the calling thread.
+//
+// A multi-node round is handed to node_count() - 1 persistent workers
+// through a few atomics, with no per-test allocation or lock (see the round
+// state below). Any thread may run any slot, but slot i always runs node
+// i's runner on node i's candidate, so where a slot runs never changes the
+// records.
 #ifndef AFEX_CORE_SESSION_H_
 #define AFEX_CORE_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/clustering.h"
@@ -30,7 +38,6 @@
 #include "core/impact.h"
 #include "core/relevance.h"
 #include "obs/metrics.h"
-#include "util/thread_pool.h"
 
 namespace afex {
 
@@ -144,8 +151,8 @@ class ExplorationSession {
   using Runner = std::function<TestOutcome(const Fault&)>;
 
   // One runner per node; `runners` must be non-empty. Node i runs the i-th
-  // candidate of every round: the last one on the calling thread, the others
-  // on a pool of runners.size() - 1 workers (none for a single node).
+  // candidate of every round, on the calling thread or on one of
+  // runners.size() - 1 persistent workers (none for a single node).
   ExplorationSession(Explorer& explorer, std::vector<Runner> runners, SessionConfig config = {});
 
   // One-node session over `runner`.
@@ -155,6 +162,11 @@ class ExplorationSession {
   // `backend.RunFault(space, fault)`. Both must outlive the session.
   ExplorationSession(Explorer& explorer, TargetBackend& backend, const FaultSpace& space,
                      SessionConfig config = {});
+
+  // Stops and joins the workers.
+  ~ExplorationSession();
+  ExplorationSession(const ExplorationSession&) = delete;
+  ExplorationSession& operator=(const ExplorationSession&) = delete;
 
   // Runs rounds until the target is met or the space is exhausted; the last
   // round is shortened to the remaining max_tests budget. May be called
@@ -199,6 +211,13 @@ class ExplorationSession {
   // false when the explorer was exhausted before the first candidate.
   bool RunRound(size_t size);
   void Execute(size_t slot);
+  // Publishes a round of `size` >= 2 issued slots, claims slots alongside
+  // the workers, waits until every slot has run, then rethrows what a
+  // runner threw.
+  void ExecuteRound(uint32_t size);
+  // Claims and runs slots of the published round until none is left.
+  void ClaimSlots();
+  void WorkerLoop();
   // Issues one candidate per record, checks each against the record's
   // fault, then reports the journaled outcomes; false on a mismatch.
   bool ReplayRound(std::span<const SessionRecord> round);
@@ -217,9 +236,30 @@ class ExplorationSession {
   // and, once the round has executed, its outcome.
   std::vector<Fault> batch_;
   std::vector<TestOutcome> outcomes_;
-  // Workers for slots 0..n-2 (null for a one-node session). Declared last
-  // so it is destroyed, joining its threads, before the members they use.
-  std::unique_ptr<ThreadPool> pool_;
+  // What slot i's runner threw in a multi-node round, rethrown by the
+  // calling thread once the round has finished.
+  std::vector<std::exception_ptr> errors_;
+
+  // Round state of a multi-node session. The calling thread publishes a
+  // round by filling batch_, storing pending_ = size and then claim_ =
+  // {size, next slot 0} (release), and finally bumping epoch_ (release) and
+  // waking the workers. The workers and the calling thread claim slots with
+  // fetch_add on claim_ (acquire) until the slot passes the size. Size and
+  // next slot share one word, so a worker that wakes late sees either the
+  // old round, fully claimed, or the new one, never a mix; that also covers
+  // rounds shorter than the node count. Whoever runs a slot decrements
+  // pending_ (release) and the one that takes it to 0 wakes the caller,
+  // whose acquire load of 0 orders every slot's writes (outcomes_, the
+  // runners' own state) before the report. Workers wait for epoch_ to move,
+  // the caller for pending_ to reach 0: they spin with pause for a bounded
+  // time when the nodes fit the process's CPUs (spin_), and otherwise go
+  // straight to a futex wait.
+  alignas(64) std::atomic<uint64_t> claim_{0};  // size << 32 | next slot
+  alignas(64) std::atomic<uint32_t> pending_{0};
+  alignas(64) std::atomic<uint32_t> epoch_{0};
+  std::atomic<bool> stopping_{false};
+  const bool spin_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace afex

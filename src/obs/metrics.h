@@ -66,8 +66,9 @@ enum class Phase : uint8_t {
   kRealRecoveryRun,     // real backend: two-phase recovery command
   kRealVerify,          // real backend: two-phase verifier command
   kRealEdgeMerge,       // real backend: sancov edge-hit translation + merge
+  kSessionRoundWait,    // multi-node round: calling thread idle at the barrier
 };
-inline constexpr size_t kPhaseCount = 18;
+inline constexpr size_t kPhaseCount = 19;
 
 // Dotted metric name for a phase, e.g. "real.fork_exec".
 const char* PhaseName(Phase phase);

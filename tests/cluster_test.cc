@@ -1,21 +1,28 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <thread>
 
 #include "cluster/node_manager.h"
 #include "cluster/parallel_session.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
+#include "core/session.h"
 #include "targets/coreutils/suite.h"
 #include "targets/harness.h"
 
 namespace afex {
 namespace {
 
-FaultSpace MakeSpace() {
+// side x side points; the round hand-off tests use a wider space for
+// many rounds of many nodes.
+FaultSpace MakeSpace(int64_t side = 20) {
   std::vector<Axis> axes;
-  axes.push_back(Axis::MakeInterval("x", 0, 19));
-  axes.push_back(Axis::MakeInterval("y", 0, 19));
+  axes.push_back(Axis::MakeInterval("x", 0, side - 1));
+  axes.push_back(Axis::MakeInterval("y", 0, side - 1));
   return FaultSpace(std::move(axes), "synthetic");
 }
 
@@ -143,6 +150,139 @@ TEST(ParallelSessionTest, RealTargetThroughNodeManagers) {
   SessionResult result = session.Run({.max_tests = 120});
   EXPECT_EQ(result.tests_executed, 120u);
   EXPECT_GT(result.failed_tests, 0u);  // ~12% of the space fails
+}
+
+// ---- round hand-off ----------------------------------------------------------
+
+SessionConfig FeedbackConfig() {
+  SessionConfig config;
+  config.redundancy_feedback = true;
+  return config;
+}
+
+// More nodes than the process has CPUs: the waiters sleep instead of spin.
+size_t OversubscribedNodeCount() {
+  return 2 * std::max(1u, std::thread::hardware_concurrency()) + 1;
+}
+
+TEST(RoundHandoffTest, ShortLastRoundsKeepTheBudgetAndMatchStep) {
+  // Budget 10 ends on a two-slot round of four nodes, 4k+1 on a one-slot
+  // round. Step() always runs whole rounds, so it overshoots; its first
+  // `budget` records are Run's records.
+  FaultSpace space = MakeSpace();
+  for (size_t budget : {size_t{10}, size_t{4 * 50 + 1}}) {
+    SCOPED_TRACE(budget);
+    FitnessExplorer run_explorer(space, {.seed = 17});
+    ParallelSession run(run_explorer, MakeManagers(4), FeedbackConfig());
+    const SessionResult& result = run.Run({.max_tests = budget});
+    ASSERT_EQ(result.records.size(), budget);
+    EXPECT_EQ(result.tests_executed, budget);
+
+    FitnessExplorer step_explorer(space, {.seed = 17});
+    ParallelSession stepped(step_explorer, MakeManagers(4), FeedbackConfig());
+    while (stepped.result().tests_executed < budget) {
+      ASSERT_TRUE(stepped.Step());
+    }
+    std::vector<SessionRecord> prefix(stepped.result().records.begin(),
+                                      stepped.result().records.begin() + budget);
+    EXPECT_EQ(RecordDigest(prefix), RecordDigest(result.records));
+  }
+}
+
+TEST(RoundHandoffTest, OversubscribedSessionCompletesDeterministically) {
+  FaultSpace space = MakeSpace(100);
+  const size_t nodes = OversubscribedNodeCount();
+  const size_t budget = 5 * nodes + 3;
+  auto run_once = [&] {
+    FitnessExplorer explorer(space, {.seed = 23});
+    ParallelSession session(explorer, MakeManagers(nodes), FeedbackConfig());
+    const SessionResult& result = session.Run({.max_tests = budget});
+    EXPECT_EQ(result.tests_executed, budget);
+    return RecordDigest(result.records);
+  };
+  EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(RoundHandoffTest, EachNodeRunsOnOneThreadAtATime) {
+  // A node's runner may move between threads from round to round, but never
+  // runs on two at once, and its plain (non-atomic) state written on the
+  // worker is visible to the calling thread after Run.
+  constexpr size_t kNodes = 4;
+  constexpr size_t kRounds = 500;
+  struct Node {
+    std::atomic<bool> in_use{false};
+    size_t runs = 0;
+    size_t last_x = 0;
+  };
+  std::vector<Node> nodes(kNodes);
+  std::atomic<size_t> overlaps{0};
+  std::vector<ExplorationSession::Runner> runners;
+  for (size_t i = 0; i < kNodes; ++i) {
+    runners.push_back([&node = nodes[i], &overlaps](const Fault& fault) {
+      if (node.in_use.exchange(true, std::memory_order_acquire)) {
+        overlaps.fetch_add(1, std::memory_order_relaxed);
+      }
+      ++node.runs;
+      node.last_x = fault[0];
+      TestOutcome outcome = SyntheticRunner(fault);
+      node.in_use.store(false, std::memory_order_release);
+      return outcome;
+    });
+  }
+  FaultSpace space = MakeSpace(100);
+  RandomExplorer explorer(space, 29);
+  ExplorationSession session(explorer, std::move(runners));
+  const SessionResult& result = session.Run({.max_tests = kNodes * kRounds - 2});
+  EXPECT_EQ(overlaps.load(), 0u);
+  ASSERT_EQ(result.records.size(), kNodes * kRounds - 2);
+  // Node i runs slot i: every round but the two-slot last one uses all four.
+  for (size_t i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(nodes[i].runs, i < 2 ? kRounds : kRounds - 1) << "node " << i;
+    const size_t last_record = (nodes[i].runs - 1) * kNodes + i;
+    EXPECT_EQ(nodes[i].last_x, result.records[last_record].fault[0]) << "node " << i;
+  }
+}
+
+TEST(RoundHandoffTest, RunnerExceptionReachesTheCallingThread) {
+  // Whichever thread claims node 2's slot, its exception surfaces from Run
+  // after the round, and the session still shuts down.
+  std::vector<ExplorationSession::Runner> runners(4, SyntheticRunner);
+  runners[2] = [](const Fault&) -> TestOutcome { throw std::runtime_error("node 2 down"); };
+  FaultSpace space = MakeSpace();
+  RandomExplorer explorer(space, 37);
+  ExplorationSession session(explorer, std::move(runners));
+  EXPECT_THROW(session.Run({.max_tests = 40}), std::runtime_error);
+  EXPECT_EQ(session.result().tests_executed, 0u);
+}
+
+TEST(RoundHandoffTest, IdleSessionsJoinPromptly) {
+  using Clock = std::chrono::steady_clock;
+  FaultSpace space = MakeSpace();
+  std::vector<SessionRecord> journal;
+  {
+    RandomExplorer explorer(space, 31);
+    ParallelSession session(explorer, MakeManagers(4));
+    journal = session.Run({.max_tests = 40}).records;
+  }
+  for (size_t nodes : {size_t{4}, OversubscribedNodeCount()}) {
+    SCOPED_TRACE(nodes);
+    Clock::time_point start;
+    {
+      RandomExplorer explorer(space, 31);
+      ParallelSession never_run(explorer, MakeManagers(nodes));
+      start = Clock::now();
+    }
+    EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
+  }
+  Clock::time_point start;
+  {
+    RandomExplorer explorer(space, 31);
+    ParallelSession replayed(explorer, MakeManagers(4));
+    EXPECT_EQ(replayed.Replay(journal, {.max_tests = 40}), std::optional<size_t>(40));
+    EXPECT_EQ(replayed.result().tests_executed, 40u);
+    start = Clock::now();
+  }
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
 }
 
 }  // namespace

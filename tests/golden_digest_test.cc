@@ -3,8 +3,10 @@
 // records against a value committed from a known-good build, so any change
 // to issue order, scoring, clustering or per-node execution shows up here
 // even when the aggregate counts happen to agree. One node runs through the
-// single-runner ExplorationSession constructor; two and four nodes run
-// through ParallelSession, one NodeManager and harness per node.
+// single-runner ExplorationSession constructor; two, four and eight nodes
+// run through ParallelSession, one NodeManager and harness per node. Eight
+// nodes is more than a CI runner has cores, so those cells also pin the
+// oversubscribed round hand-off.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -158,6 +160,10 @@ const Cell kCells[] = {
     {"docstore", false, 2, 1, 0x532bf5ffb0d25dd7},
     {"docstore", false, 2, 2, 0xa1918e46dca1f745},
     {"docstore", false, 2, 4, 0xfc26294425974e14},
+    {"minidb", true, 1, 8, 0xaa7f56ab567ad241},
+    {"minidb", true, 2, 8, 0x005d7c36458b83a7},
+    {"minidb", false, 1, 8, 0x3f788ee4e2c5eb44},
+    {"minidb", false, 2, 8, 0xdb19a82746783c83},
 };
 // clang-format on
 

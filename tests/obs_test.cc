@@ -216,6 +216,9 @@ TEST(Phases, EveryPhaseHasADistinctName) {
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
   EXPECT_EQ(PhaseName(Phase::kRealForkExec), std::string("real.fork_exec"));
+  // Appended last, so the earlier ids keep their values.
+  EXPECT_EQ(static_cast<size_t>(Phase::kSessionRoundWait), kPhaseCount - 1);
+  EXPECT_EQ(PhaseName(Phase::kSessionRoundWait), std::string("session.round_wait"));
 }
 
 class RecordingSink : public MetricsSink {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "util/gaussian.h"
@@ -8,7 +7,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace afex {
 namespace {
@@ -316,38 +314,6 @@ TEST(StringsTest, ParseUint) {
   EXPECT_FALSE(ParseUint("99999999999999999999999", v));
   EXPECT_TRUE(ParseUint("0", v));
   EXPECT_EQ(v, 0u);
-}
-
-// ---- thread pool ----
-
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace
