@@ -1,11 +1,11 @@
 #include "campaign/serde.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <system_error>
 #include <vector>
-
-#include "util/strings.h"
 
 namespace afex {
 namespace {
@@ -39,24 +39,53 @@ int HexValue(char c) {
   return -1;
 }
 
-bool ParseInt64(std::string_view s, int64_t& out) {
-  bool negative = !s.empty() && s.front() == '-';
-  uint64_t magnitude = 0;
-  if (!ParseUint(negative ? s.substr(1) : s, magnitude)) {
-    return false;
-  }
-  if (negative) {
-    if (magnitude > 1ULL + static_cast<uint64_t>(INT64_MAX)) {
-      return false;
+// Parses all of `s` as a decimal T (or a double in from_chars' general
+// form): no '+', no leading whitespace, no base prefix, nothing left over,
+// nothing out of range. Unsigned types take no sign at all.
+template <typename T>
+bool ParseNumber(std::string_view s, T& out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+template <typename T>
+void AppendNumber(std::string& out, T v) {
+  char buf[24];  // 20 digits of UINT64_MAX, or a sign and 19 digits
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void AppendDouble(std::string& out, double v) {
+  char buf[32];  // the longest %.17g rendering, "-1.7976931348623157e+308", is 24
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17).ptr);
+}
+
+void AppendBool(std::string& out, bool v) { out += v ? '1' : '0'; }
+
+void AppendEscaped(std::string& out, std::string_view raw) {
+  static const char* kHex = "0123456789ABCDEF";
+  for (unsigned char c : raw) {
+    if (IsPlainByte(c)) {
+      out += static_cast<char>(c);
+    } else {
+      out += '%';
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
     }
-    out = static_cast<int64_t>(0ULL - magnitude);
-  } else {
-    if (magnitude > static_cast<uint64_t>(INT64_MAX)) {
-      return false;
-    }
-    out = static_cast<int64_t>(magnitude);
   }
-  return true;
+}
+
+void AppendFault(std::string& out, const Fault& fault) {
+  if (fault.dimensions() == 0) {
+    out += '-';
+    return;
+  }
+  for (size_t i = 0; i < fault.dimensions(); ++i) {
+    if (i > 0) {
+      out += ',';
+    }
+    AppendNumber(out, fault[i]);
+  }
 }
 
 bool ParseHex16(std::string_view s, uint64_t& out) {
@@ -87,356 +116,323 @@ bool ParseBool(std::string_view s, bool& out) {
   return false;
 }
 
-// String lists are count-prefixed ("2:a|b", "1:", "0:") so that empty
-// lists, single empty items, and items containing the separator (escaped)
-// all stay distinguishable.
-std::string SerializeStringList(const std::vector<std::string>& items) {
-  std::string out = std::to_string(items.size()) + ":";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) {
-      out += '|';
+// Calls fn(part) for every `delim`-separated part of `s`, empty parts
+// included (so "" is one empty part), stopping at the first false. Parts
+// are a few bytes long, so a plain scan beats a memchr call per part.
+template <typename Fn>
+bool ForEachPart(std::string_view s, char delim, Fn&& fn) {
+  size_t begin = 0;
+  for (size_t i = 0;; ++i) {
+    if (i == s.size() || s[i] == delim) {
+      if (!fn(s.substr(begin, i - begin))) {
+        return false;
+      }
+      if (i == s.size()) {
+        return true;
+      }
+      begin = i + 1;
     }
-    out += EscapeField(items[i]);
   }
-  return out;
+}
+
+// Calls fn(key, value) for every space-separated key=value field of a
+// serialized line (the key ends at the field's first '='), skipping empty
+// fields. Returns false on a field without '=' or when fn does.
+template <typename Fn>
+bool ForEachField(std::string_view line, Fn&& fn) {
+  const size_t n = line.size();
+  size_t i = 0;
+  while (i < n) {
+    if (line[i] == ' ') {
+      ++i;
+      continue;
+    }
+    const size_t key = i;
+    while (i < n && line[i] != '=' && line[i] != ' ') {
+      ++i;
+    }
+    if (i == n || line[i] != '=') {
+      return false;
+    }
+    // Values (block-id lists above all) run longer than keys: memchr.
+    const size_t value = ++i;
+    const void* space = std::memchr(line.data() + i, ' ', n - i);
+    i = space != nullptr ? static_cast<size_t>(static_cast<const char*>(space) - line.data()) : n;
+    if (!fn(line.substr(key, value - 1 - key), line.substr(value, i - value))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Lists are count-prefixed ("2:a|b", "1:", "0:") so that empty lists,
+// single empty items, and items containing the separator (escaped) all
+// stay distinguishable. Splits off the count; a count larger than the body
+// could hold is rejected here, so callers may reserve it.
+bool ParseCountPrefix(std::string_view s, size_t& count, std::string_view& body) {
+  size_t colon = s.find(':');
+  if (colon == std::string_view::npos || !ParseNumber(s.substr(0, colon), count)) {
+    return false;
+  }
+  body = s.substr(colon + 1);
+  return count <= body.size() + 1;
+}
+
+// Parses a count-prefixed list whose items parse_item appends to `out`.
+template <typename T, typename ParseItem>
+bool ParseList(std::string_view s, std::vector<T>& out, ParseItem&& parse_item) {
+  size_t count = 0;
+  std::string_view body;
+  if (!ParseCountPrefix(s, count, body)) {
+    return false;
+  }
+  out.clear();
+  if (count == 0) {
+    return body.empty();
+  }
+  out.reserve(count);
+  return ForEachPart(body, '|', [&](std::string_view item) { return parse_item(item, out); }) &&
+         out.size() == count;
 }
 
 bool ParseStringList(std::string_view s, std::vector<std::string>& out) {
-  size_t colon = s.find(':');
-  if (colon == std::string_view::npos) {
-    return false;
-  }
-  uint64_t count = 0;
-  if (!ParseUint(s.substr(0, colon), count)) {
-    return false;
-  }
-  std::string_view body = s.substr(colon + 1);
-  out.clear();
-  if (count == 0) {
-    return body.empty();
-  }
-  std::vector<std::string> parts = Split(body, '|');
-  if (parts.size() != count) {
-    return false;
-  }
-  out.reserve(parts.size());
-  for (const std::string& part : parts) {
-    std::string item;
-    if (!UnescapeField(part, item)) {
-      return false;
-    }
-    out.push_back(std::move(item));
-  }
-  return true;
-}
-
-std::string SerializeBlockIds(const std::vector<uint32_t>& ids) {
-  std::string out = std::to_string(ids.size()) + ":";
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) {
-      out += '|';
-    }
-    out += std::to_string(ids[i]);
-  }
-  return out;
+  return ParseList(s, out, [](std::string_view item, std::vector<std::string>& items) {
+    return UnescapeField(item, items.emplace_back());
+  });
 }
 
 bool ParseBlockIds(std::string_view s, std::vector<uint32_t>& out) {
-  size_t colon = s.find(':');
-  if (colon == std::string_view::npos) {
-    return false;
-  }
-  uint64_t count = 0;
-  if (!ParseUint(s.substr(0, colon), count)) {
-    return false;
-  }
-  std::string_view body = s.substr(colon + 1);
-  out.clear();
-  if (count == 0) {
-    return body.empty();
-  }
-  std::vector<std::string> parts = Split(body, '|');
-  if (parts.size() != count) {
-    return false;
-  }
-  out.reserve(parts.size());
-  for (const std::string& part : parts) {
-    uint64_t id = 0;
-    if (!ParseUint(part, id) || id > UINT32_MAX) {
-      return false;
-    }
-    out.push_back(static_cast<uint32_t>(id));
-  }
-  return true;
+  return ParseList(s, out, [](std::string_view item, std::vector<uint32_t>& ids) {
+    return ParseNumber(item, ids.emplace_back());
+  });
 }
 
-// Splits a serialized line into key=value fields. Returns false on a field
-// without '='.
-bool SplitFields(std::string_view line,
-                 std::vector<std::pair<std::string_view, std::string_view>>& out) {
-  out.clear();
-  size_t start = 0;
-  while (start <= line.size()) {
-    size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      end = line.size();
+void AppendOutcome(std::string& out, const TestOutcome& outcome) {
+  out += "failed=";
+  AppendBool(out, outcome.test_failed);
+  out += " crashed=";
+  AppendBool(out, outcome.crashed);
+  out += " hung=";
+  AppendBool(out, outcome.hung);
+  out += " exit=";
+  AppendNumber(out, outcome.exit_code);
+  out += " newblk=";
+  AppendNumber(out, outcome.new_blocks_covered);
+  out += " blocks=";
+  AppendNumber(out, outcome.new_block_ids.size());
+  out += ':';
+  for (size_t i = 0; i < outcome.new_block_ids.size(); ++i) {
+    if (i > 0) {
+      out += '|';
     }
-    std::string_view field = line.substr(start, end - start);
-    if (!field.empty()) {
-      size_t eq = field.find('=');
-      if (eq == std::string_view::npos) {
-        return false;
-      }
-      out.emplace_back(field.substr(0, eq), field.substr(eq + 1));
-    }
-    if (end == line.size()) {
-      break;
-    }
-    start = end + 1;
+    AppendNumber(out, outcome.new_block_ids[i]);
   }
-  return true;
+  out += " trig=";
+  AppendBool(out, outcome.fault_triggered);
+  out += " stack=";
+  AppendNumber(out, outcome.injection_stack.size());
+  out += ':';
+  for (size_t i = 0; i < outcome.injection_stack.size(); ++i) {
+    if (i > 0) {
+      out += '|';
+    }
+    AppendEscaped(out, outcome.injection_stack[i]);
+  }
+  out += " recfail=";
+  AppendBool(out, outcome.recovery_failed);
+  out += " inv=";
+  AppendBool(out, outcome.invariant_violated);
+  out += " detail=";
+  AppendEscaped(out, outcome.detail);
 }
 
-enum class FieldStatus { kHandled, kUnknown, kMalformed };
-
-FieldStatus ApplyOutcomeField(std::string_view key, std::string_view value, TestOutcome& out,
-                              uint32_t& seen) {
-  auto mark = [&seen](uint32_t bit, bool ok) {
-    if (ok) {
-      seen |= bit;
-    }
-    return ok ? FieldStatus::kHandled : FieldStatus::kMalformed;
-  };
-  if (key == "failed") {
-    return mark(1u << 0, ParseBool(value, out.test_failed));
-  }
-  if (key == "crashed") {
-    return mark(1u << 1, ParseBool(value, out.crashed));
-  }
-  if (key == "hung") {
-    return mark(1u << 2, ParseBool(value, out.hung));
-  }
-  if (key == "exit") {
-    int64_t code = 0;
-    if (!ParseInt64(value, code) || code < INT32_MIN || code > INT32_MAX) {
-      return FieldStatus::kMalformed;
-    }
-    out.exit_code = static_cast<int>(code);
-    seen |= 1u << 3;
-    return FieldStatus::kHandled;
-  }
-  if (key == "newblk") {
-    uint64_t n = 0;
-    if (!ParseUint(value, n)) {
-      return FieldStatus::kMalformed;
-    }
-    out.new_blocks_covered = static_cast<size_t>(n);
-    seen |= 1u << 4;
-    return FieldStatus::kHandled;
-  }
-  if (key == "blocks") {
-    return mark(1u << 5, ParseBlockIds(value, out.new_block_ids));
-  }
-  if (key == "trig") {
-    return mark(1u << 6, ParseBool(value, out.fault_triggered));
-  }
-  if (key == "stack") {
-    return mark(1u << 7, ParseStringList(value, out.injection_stack));
-  }
-  if (key == "detail") {
-    return mark(1u << 8, UnescapeField(value, out.detail));
-  }
+// Record fields, one bit each in the `seen` mask ParseRecord keeps.
+enum RecordField : uint32_t {
+  kFailed = 1u << 0,
+  kCrashed = 1u << 1,
+  kHung = 1u << 2,
+  kExit = 1u << 3,
+  kNewBlocks = 1u << 4,
+  kBlocks = 1u << 5,
+  kTriggered = 1u << 6,
+  kStack = 1u << 7,
+  kDetail = 1u << 8,
+  kFault = 1u << 9,
+  kImpact = 1u << 10,
+  kFitness = 1u << 11,
+  kCluster = 1u << 12,
   // Crash-recovery facets, serialized from format v3 on. Optional on parse
   // (record lines carry no version; pre-v3 journals simply lack them and
-  // both facets default to false), so the bits land above the required
-  // mask.
-  if (key == "recfail") {
-    return mark(1u << 9, ParseBool(value, out.recovery_failed));
-  }
-  if (key == "inv") {
-    return mark(1u << 10, ParseBool(value, out.invariant_violated));
-  }
-  return FieldStatus::kUnknown;
-}
+  // both facets default to false), so they are not in kRequiredFields.
+  kRecoveryFailed = 1u << 13,
+  kInvariantViolated = 1u << 14,
+};
+constexpr uint32_t kRequiredFields = (1u << 13) - 1;
 
-// The nine v1 fields every outcome line must carry; recfail/inv are
-// accepted but not required (see above).
-constexpr uint32_t kRequiredOutcomeFields = (1u << 9) - 1;
+// Parses one key=value field into `out`; false on an unknown key or a
+// malformed value. Dispatches on the key's first byte, so each field costs
+// one or two key comparisons.
+bool ApplyRecordField(std::string_view key, std::string_view value, SessionRecord& out,
+                      uint32_t& seen) {
+  TestOutcome& outcome = out.outcome;
+  uint32_t field = 0;
+  bool ok = false;
+  switch (key.empty() ? '\0' : key.front()) {
+    case 'f':
+      if (key == "f") {
+        field = kFault;
+        ok = ParseFault(value, out.fault);
+      } else if (key == "failed") {
+        field = kFailed;
+        ok = ParseBool(value, outcome.test_failed);
+      } else if (key == "fitness") {
+        field = kFitness;
+        ok = ParseDoubleField(value, out.fitness);
+      }
+      break;
+    case 'i':
+      if (key == "impact") {
+        field = kImpact;
+        ok = ParseDoubleField(value, out.impact);
+      } else if (key == "inv") {
+        field = kInvariantViolated;
+        ok = ParseBool(value, outcome.invariant_violated);
+      }
+      break;
+    case 'c':
+      if (key == "cluster") {
+        field = kCluster;
+        ok = ParseNumber(value, out.cluster_id);
+      } else if (key == "crashed") {
+        field = kCrashed;
+        ok = ParseBool(value, outcome.crashed);
+      }
+      break;
+    case 'h':
+      field = kHung;
+      ok = key == "hung" && ParseBool(value, outcome.hung);
+      break;
+    case 'e':
+      field = kExit;
+      ok = key == "exit" && ParseNumber(value, outcome.exit_code);
+      break;
+    case 'n':
+      field = kNewBlocks;
+      ok = key == "newblk" && ParseNumber(value, outcome.new_blocks_covered);
+      break;
+    case 'b':
+      field = kBlocks;
+      ok = key == "blocks" && ParseBlockIds(value, outcome.new_block_ids);
+      break;
+    case 't':
+      field = kTriggered;
+      ok = key == "trig" && ParseBool(value, outcome.fault_triggered);
+      break;
+    case 's':
+      field = kStack;
+      ok = key == "stack" && ParseStringList(value, outcome.injection_stack);
+      break;
+    case 'r':
+      field = kRecoveryFailed;
+      ok = key == "recfail" && ParseBool(value, outcome.recovery_failed);
+      break;
+    case 'd':
+      field = kDetail;
+      ok = key == "detail" && UnescapeField(value, outcome.detail);
+      break;
+    default:
+      break;
+  }
+  seen |= field;
+  return ok;
+}
 
 }  // namespace
 
 std::string EscapeField(std::string_view raw) {
-  static const char* kHex = "0123456789ABCDEF";
   std::string out;
   out.reserve(raw.size());
-  for (unsigned char c : raw) {
-    if (IsPlainByte(c)) {
-      out += static_cast<char>(c);
-    } else {
-      out += '%';
-      out += kHex[c >> 4];
-      out += kHex[c & 0xf];
-    }
-  }
+  AppendEscaped(out, raw);
   return out;
 }
 
 bool UnescapeField(std::string_view field, std::string& out) {
   out.clear();
-  out.reserve(field.size());
-  for (size_t i = 0; i < field.size(); ++i) {
-    char c = field[i];
-    if (c != '%') {
-      out += c;
-      continue;
+  while (true) {
+    // Plain runs between escapes are copied whole.
+    size_t escape = field.find('%');
+    out.append(field.substr(0, escape));
+    if (escape == std::string_view::npos) {
+      return true;
     }
-    if (i + 2 >= field.size()) {
+    if (escape + 2 >= field.size()) {
       return false;
     }
-    int hi = HexValue(field[i + 1]);
-    int lo = HexValue(field[i + 2]);
+    int hi = HexValue(field[escape + 1]);
+    int lo = HexValue(field[escape + 2]);
     if (hi < 0 || lo < 0) {
       return false;
     }
     out += static_cast<char>((hi << 4) | lo);
-    i += 2;
+    field.remove_prefix(escape + 3);
   }
-  return true;
 }
 
 std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  AppendDouble(out, v);
+  return out;
 }
 
-bool ParseDoubleField(std::string_view s, double& out) {
-  if (s.empty() || s.size() >= 63) {
-    return false;
-  }
-  char buf[64];
-  s.copy(buf, s.size());
-  buf[s.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + s.size();
-}
+bool ParseDoubleField(std::string_view s, double& out) { return ParseNumber(s, out); }
 
 std::string SerializeFault(const Fault& fault) {
-  if (fault.dimensions() == 0) {
-    return "-";
-  }
   std::string out;
-  for (size_t i = 0; i < fault.dimensions(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(fault[i]);
-  }
+  AppendFault(out, fault);
   return out;
 }
 
 bool ParseFault(std::string_view s, Fault& out) {
+  out = Fault();
   if (s == "-") {
-    out = Fault();
     return true;
   }
-  out = Fault();
-  for (const std::string& part : Split(s, ',')) {
-    uint64_t v = 0;
-    if (!ParseUint(part, v)) {
+  return ForEachPart(s, ',', [&out](std::string_view part) {
+    size_t v = 0;
+    if (!ParseNumber(part, v)) {
       return false;
     }
-    out.Append(static_cast<size_t>(v));
-  }
-  return true;
+    out.Append(v);
+    return true;
+  });
 }
 
-std::string SerializeOutcome(const TestOutcome& outcome) {
-  std::string out;
-  out += "failed=" + std::string(outcome.test_failed ? "1" : "0");
-  out += " crashed=" + std::string(outcome.crashed ? "1" : "0");
-  out += " hung=" + std::string(outcome.hung ? "1" : "0");
-  out += " exit=" + std::to_string(outcome.exit_code);
-  out += " newblk=" + std::to_string(outcome.new_blocks_covered);
-  out += " blocks=" + SerializeBlockIds(outcome.new_block_ids);
-  out += " trig=" + std::string(outcome.fault_triggered ? "1" : "0");
-  out += " stack=" + SerializeStringList(outcome.injection_stack);
-  out += " recfail=" + std::string(outcome.recovery_failed ? "1" : "0");
-  out += " inv=" + std::string(outcome.invariant_violated ? "1" : "0");
-  out += " detail=" + EscapeField(outcome.detail);
-  return out;
-}
-
-bool ParseOutcome(std::string_view s, TestOutcome& out) {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
-  if (!SplitFields(s, fields)) {
-    return false;
-  }
-  out = TestOutcome{};
-  uint32_t seen = 0;
-  for (const auto& [key, value] : fields) {
-    if (ApplyOutcomeField(key, value, out, seen) != FieldStatus::kHandled) {
-      return false;
-    }
-  }
-  return (seen & kRequiredOutcomeFields) == kRequiredOutcomeFields;
+void AppendRecord(std::string& out, const SessionRecord& record) {
+  out += "f=";
+  AppendFault(out, record.fault);
+  out += " impact=";
+  AppendDouble(out, record.impact);
+  out += " fitness=";
+  AppendDouble(out, record.fitness);
+  out += " cluster=";
+  AppendNumber(out, record.cluster_id);
+  out += ' ';
+  AppendOutcome(out, record.outcome);
 }
 
 std::string SerializeRecord(const SessionRecord& record) {
   std::string out;
-  out += "f=" + SerializeFault(record.fault);
-  out += " impact=" + FormatDouble(record.impact);
-  out += " fitness=" + FormatDouble(record.fitness);
-  out += " cluster=" + std::to_string(record.cluster_id);
-  out += " " + SerializeOutcome(record.outcome);
+  AppendRecord(out, record);
   return out;
 }
 
 bool ParseRecord(std::string_view s, SessionRecord& out) {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
-  if (!SplitFields(s, fields)) {
-    return false;
-  }
   out = SessionRecord{};
-  uint32_t outcome_seen = 0;
-  uint32_t record_seen = 0;
-  for (const auto& [key, value] : fields) {
-    FieldStatus status = ApplyOutcomeField(key, value, out.outcome, outcome_seen);
-    if (status == FieldStatus::kHandled) {
-      continue;
-    }
-    if (status == FieldStatus::kMalformed) {
-      return false;
-    }
-    if (key == "f") {
-      if (!ParseFault(value, out.fault)) {
-        return false;
-      }
-      record_seen |= 1u << 0;
-    } else if (key == "impact") {
-      if (!ParseDoubleField(value, out.impact)) {
-        return false;
-      }
-      record_seen |= 1u << 1;
-    } else if (key == "fitness") {
-      if (!ParseDoubleField(value, out.fitness)) {
-        return false;
-      }
-      record_seen |= 1u << 2;
-    } else if (key == "cluster") {
-      uint64_t id = 0;
-      if (!ParseUint(value, id)) {
-        return false;
-      }
-      out.cluster_id = static_cast<size_t>(id);
-      record_seen |= 1u << 3;
-    } else {
-      return false;
-    }
-  }
-  return record_seen == (1u << 4) - 1 &&
-         (outcome_seen & kRequiredOutcomeFields) == kRequiredOutcomeFields;
+  uint32_t seen = 0;
+  bool ok = ForEachField(s, [&](std::string_view key, std::string_view value) {
+    return ApplyRecordField(key, value, out, seen);
+  });
+  return ok && (seen & kRequiredFields) == kRequiredFields;
 }
 
 std::string FingerprintHex(uint64_t fingerprint) {
@@ -462,71 +458,47 @@ std::string SerializeMeta(const CampaignMeta& meta) {
 }
 
 bool ParseMeta(std::string_view s, CampaignMeta& out) {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
-  if (!SplitFields(s, fields)) {
-    return false;
-  }
   out = CampaignMeta{};
   uint32_t seen = 0;
-  for (const auto& [key, value] : fields) {
+  bool ok = ForEachField(s, [&](std::string_view key, std::string_view value) {
+    uint32_t field = 0;
+    bool parsed = false;
     if (key == "v") {
-      int64_t v = 0;
-      if (!ParseInt64(value, v) || v <= 0 || v > INT32_MAX) {
-        return false;
-      }
-      out.version = static_cast<int>(v);
-      seen |= 1u << 0;
+      field = 1u << 0;
+      parsed = ParseNumber(value, out.version) && out.version > 0;
     } else if (key == "target") {
-      if (!UnescapeField(value, out.target)) {
-        return false;
-      }
-      seen |= 1u << 1;
+      field = 1u << 1;
+      parsed = UnescapeField(value, out.target);
     } else if (key == "strategy") {
-      if (!UnescapeField(value, out.strategy)) {
-        return false;
-      }
-      seen |= 1u << 2;
+      field = 1u << 2;
+      parsed = UnescapeField(value, out.strategy);
     } else if (key == "seed") {
-      if (!ParseUint(value, out.seed)) {
-        return false;
-      }
-      seen |= 1u << 3;
+      field = 1u << 3;
+      parsed = ParseNumber(value, out.seed);
     } else if (key == "space") {
-      if (!ParseHex16(value, out.space_fingerprint)) {
-        return false;
-      }
-      seen |= 1u << 4;
+      field = 1u << 4;
+      parsed = ParseHex16(value, out.space_fingerprint);
     } else if (key == "jobs") {
-      uint64_t jobs = 0;
-      if (!ParseUint(value, jobs) || jobs == 0) {
-        return false;
-      }
-      out.jobs = static_cast<size_t>(jobs);
-      seen |= 1u << 5;
+      field = 1u << 5;
+      parsed = ParseNumber(value, out.jobs) && out.jobs > 0;
     } else if (key == "feedback") {
-      if (!ParseBool(value, out.feedback)) {
-        return false;
-      }
-      seen |= 1u << 6;
+      field = 1u << 6;
+      parsed = ParseBool(value, out.feedback);
     } else if (key == "warm") {
-      if (!ParseHex16(value, out.warm_fingerprint)) {
-        return false;
-      }
-      seen |= 1u << 7;
+      field = 1u << 7;
+      parsed = ParseHex16(value, out.warm_fingerprint);
     } else if (key == "analysis") {
-      if (!ParseHex16(value, out.analysis_fingerprint)) {
-        return false;
-      }
-      seen |= 1u << 8;
-    } else {
-      return false;
+      field = 1u << 8;
+      parsed = ParseHex16(value, out.analysis_fingerprint);
     }
-  }
+    seen |= field;
+    return parsed;
+  });
   // `analysis=` exists exactly from v2 on: a v1 line carrying it, or a v2
   // line missing it, is malformed — strictness keeps hand-edited journals
   // detectable.
   uint32_t required = out.version >= 2 ? (1u << 9) - 1 : (1u << 8) - 1;
-  return seen == required;
+  return ok && seen == required;
 }
 
 uint64_t FaultSpaceFingerprint(const FaultSpace& space) {
@@ -558,21 +530,16 @@ uint64_t FaultSpaceFingerprint(const FaultSpace& space) {
 }
 
 bool PeekMetaVersion(std::string_view s, int& version) {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
-  if (!SplitFields(s, fields)) {
-    return false;
-  }
-  for (const auto& [key, value] : fields) {
-    if (key == "v") {
-      int64_t v = 0;
-      if (!ParseInt64(value, v) || v <= 0 || v > INT32_MAX) {
-        return false;
-      }
-      version = static_cast<int>(v);
-      return true;
+  bool found = false;
+  bool valid = false;
+  bool well_formed = ForEachField(s, [&](std::string_view key, std::string_view value) {
+    if (!found && key == "v") {
+      found = true;
+      valid = ParseNumber(value, version) && version > 0;
     }
-  }
-  return false;
+    return true;
+  });
+  return well_formed && found && valid;
 }
 
 }  // namespace afex

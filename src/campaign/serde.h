@@ -69,7 +69,10 @@ struct CampaignMeta {
 std::string EscapeField(std::string_view raw);
 bool UnescapeField(std::string_view field, std::string& out);
 
-// Doubles with an exact decimal round trip (printf %.17g).
+// Doubles with an exact decimal round trip: std::to_chars general format
+// at precision 17, byte-identical to printf %.17g (inf, -inf, nan and -nan
+// included). The parser takes exactly what std::from_chars does: no '+',
+// no leading whitespace, no hex form, nothing left over.
 std::string FormatDouble(double v);
 bool ParseDoubleField(std::string_view s, double& out);
 
@@ -77,12 +80,12 @@ bool ParseDoubleField(std::string_view s, double& out);
 std::string SerializeFault(const Fault& fault);
 bool ParseFault(std::string_view s, Fault& out);
 
-// TestOutcome / SessionRecord / CampaignMeta <-> one line of space-
-// separated key=value fields. All parsers are strict: unknown keys,
-// missing keys, and malformed values fail.
-std::string SerializeOutcome(const TestOutcome& outcome);
-bool ParseOutcome(std::string_view s, TestOutcome& out);
-
+// SessionRecord / CampaignMeta <-> one line of space-separated key=value
+// fields. All parsers are strict: unknown keys, missing keys, and
+// malformed values fail. Parsers walk the line in place; AppendRecord
+// serializes onto the end of `out` without allocating beyond its growth,
+// so a caller that reuses one buffer appends records allocation-free.
+void AppendRecord(std::string& out, const SessionRecord& record);
 std::string SerializeRecord(const SessionRecord& record);
 bool ParseRecord(std::string_view s, SessionRecord& out);
 

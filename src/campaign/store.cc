@@ -14,28 +14,23 @@ std::string HeaderLine(const CampaignMeta& meta) {
   return std::string(kHeaderMagic) + SerializeMeta(meta);
 }
 
-std::string RecordLine(const SessionRecord& record) {
-  return std::string(kRecordTag) + SerializeRecord(record);
-}
-
 }  // namespace
 
 CampaignStore CampaignStore::Create(const std::string& path, const CampaignMeta& meta) {
-  if (std::ifstream(path).good()) {
-    throw CampaignError("journal '" + path +
-                        "' already exists; resume it with --resume or delete it first");
-  }
   CampaignStore store(path, meta);
-  store.journal_ = Journal::Create(path, HeaderLine(meta));
+  std::string header = HeaderLine(meta);
+  store.journal_ = Journal::Create(path, header);
+  store.ends_.push_back(header.size() + 1);
   return store;
 }
 
 CampaignStore CampaignStore::Open(const std::string& path) {
   Journal::LoadResult loaded = Journal::Load(path);
-  if (!StartsWith(loaded.header, kHeaderMagic)) {
+  std::string_view header = loaded.line(0);
+  if (!StartsWith(header, kHeaderMagic)) {
     throw CampaignError("'" + path + "' is not an AFEX campaign journal");
   }
-  std::string_view meta_line = std::string_view(loaded.header).substr(kHeaderMagic.size());
+  std::string_view meta_line = header.substr(kHeaderMagic.size());
   // Check the version before the strict full parse, so a newer journal
   // with extra header fields gets the version diagnostic, not "malformed".
   int version = 0;
@@ -50,22 +45,24 @@ CampaignStore CampaignStore::Open(const std::string& path) {
   }
 
   CampaignStore store(path, meta);
-  for (size_t i = 0; i < loaded.records.size(); ++i) {
-    const std::string& line = loaded.records[i];
-    SessionRecord record;
-    bool ok = StartsWith(line, kRecordTag) &&
-              ParseRecord(std::string_view(line).substr(kRecordTag.size()), record);
-    if (!ok) {
-      if (i + 1 == loaded.records.size()) {
-        // A malformed final line is treated like a torn write and dropped;
-        // anything earlier means real corruption.
-        break;
-      }
-      throw CampaignError("journal '" + path + "' is corrupt at record " +
-                          std::to_string(i + 1));
+  const size_t lines = loaded.line_ends.size();
+  store.records_.reserve(lines - 1);
+  for (size_t i = 1; i < lines; ++i) {
+    std::string_view line = loaded.line(i);
+    SessionRecord& record = store.records_.emplace_back();
+    if (StartsWith(line, kRecordTag) && ParseRecord(line.substr(kRecordTag.size()), record)) {
+      continue;
     }
-    store.records_.push_back(std::move(record));
+    store.records_.pop_back();
+    if (i + 1 == lines) {
+      // A malformed final line is treated like a torn write and dropped;
+      // anything earlier means real corruption.
+      break;
+    }
+    throw CampaignError("journal '" + path + "' is corrupt at record " + std::to_string(i));
   }
+  loaded.line_ends.resize(store.records_.size() + 1);
+  store.ends_ = std::move(loaded.line_ends);
   return store;
 }
 
@@ -113,12 +110,8 @@ void CampaignStore::CommitResume(size_t n) {
                         std::to_string(records_.size()) + " loaded records");
   }
   records_.resize(n);
-  std::vector<std::string> lines;
-  lines.reserve(records_.size());
-  for (const SessionRecord& record : records_) {
-    lines.push_back(RecordLine(record));
-  }
-  journal_ = Journal::Rewrite(path_, HeaderLine(meta_), lines);
+  ends_.resize(n + 1);
+  journal_ = Journal::OpenTruncated(path_, ends_[n]);
   journal_.set_metrics_sink(metrics_);
 }
 
@@ -131,7 +124,10 @@ void CampaignStore::Append(const SessionRecord& record) {
   // grow here — the session already owns an identical copy of every
   // executed record, and doubling that for a multi-hour campaign would be
   // pure overhead.
-  journal_.Append(RecordLine(record));
+  journal_.AppendWith([&record](std::string& line) {
+    line += kRecordTag;
+    AppendRecord(line, record);
+  });
 }
 
 std::function<void(const SessionRecord&)> CampaignStore::MakeObserver() {

@@ -13,7 +13,8 @@
 //               silently corrupt the search state).
 //   * CommitResume — after the session replayed n loaded records, drop the
 //               rest (a torn tail or an incomplete parallel round that will
-//               re-execute) and reopen the journal for appending.
+//               re-execute) by truncating the journal in place after record
+//               n, and reopen it for appending.
 //
 // Warm-start (paper §7, knowledge reuse) is a separate read-only use of a
 // journal: WarmStartFromRecords seeds a fresh FitnessExplorer's priority
@@ -41,10 +42,11 @@ class CampaignStore {
   // CampaignError on an existing path or I/O failure.
   static CampaignStore Create(const std::string& path, const CampaignMeta& meta);
 
-  // Loads an existing journal. Records after a torn or malformed final
-  // line are dropped; a malformed line anywhere else is a hard error.
-  // Not yet open for appending — call CommitResume first. Throws
-  // CampaignError on I/O or parse failure.
+  // Loads an existing journal, parsing each record in place from one read
+  // of the file. Records after a torn or malformed final line are dropped;
+  // a malformed line anywhere else is a hard error. Opens nothing for
+  // writing (warm start reads journals, even FIFOs, through here) — call
+  // CommitResume to append. Throws CampaignError on I/O or parse failure.
   static CampaignStore Open(const std::string& path);
 
   // As Open, but additionally verifies the stored meta against `expected`
@@ -58,11 +60,12 @@ class CampaignStore {
   const std::vector<SessionRecord>& records() const { return records_; }
 
   // Finalizes a resume after the session consumed the first `n` loaded
-  // records: drops the rest, atomically rewrites the journal to exactly
-  // header + n records, and reopens it for appending.
+  // records: drops the rest, truncates the journal in place to exactly
+  // header + n records (their bytes untouched, nothing re-serialized), and
+  // reopens it for appending.
   void CommitResume(size_t n);
 
-  // Appends one record (write + flush). Requires Create or CommitResume.
+  // Appends one record (one write(2)). Requires Create or CommitResume.
   void Append(const SessionRecord& record);
 
   // Session observer that appends every executed record; bind into
@@ -90,6 +93,9 @@ class CampaignStore {
   std::string path_;
   CampaignMeta meta_;
   std::vector<SessionRecord> records_;
+  // Journal byte offset just past the header ([0]) and past each record in
+  // records_ ([i + 1]): where CommitResume truncates.
+  std::vector<size_t> ends_;
   Journal journal_;
   obs::MetricsSink* metrics_ = nullptr;
 };

@@ -51,8 +51,8 @@ enum class Phase : uint8_t {
   kExplorerNext = 0,    // Explorer::NextCandidate
   kBackendRun,          // TargetBackend::RunFault, whole call
   kClusterObserve,      // RedundancyClusterer::Observe
-  kJournalAppend,       // campaign journal: serialize + buffered write
-  kJournalFlush,        // campaign journal: flush to the OS
+  kJournalAppend,       // campaign journal: serialize the line into its reused buffer
+  kJournalFlush,        // campaign journal: the line's one write(2) to the OS
   kSimDecode,           // sim backend: fault decode
   kSimRun,              // sim backend: env setup + program execution
   kSimFeedbackMerge,    // sim backend: outcome fill + coverage merge

@@ -3,11 +3,19 @@
 // every strategy, serial and parallel), config-mismatch refusal, warm
 // start, and the CSV/JSON exporters.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <unordered_set>
 
 #include "campaign/export.h"
@@ -30,6 +38,43 @@ std::string TempPath(const std::string& name) {
   std::string path = ::testing::TempDir() + "afex_campaign_" + name;
   std::remove(path.c_str());  // Create refuses to overwrite leftovers
   return path;
+}
+
+// A fresh, empty directory of its own, so a test can assert that nothing
+// but its journal ever appears there.
+std::string FreshDir(const std::string& name) {
+  std::filesystem::path dir = ::testing::TempDir() + "afex_campaign_dir_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// The journal is the only entry of its directory: no temp file or other
+// sibling was ever left behind.
+void ExpectOnlyJournalIn(const std::string& dir) {
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"j.afexj"});
+}
+
+ino_t Inode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
 }
 
 std::unique_ptr<Explorer> MakeExplorer(const std::string& strategy, const FaultSpace& space,
@@ -218,6 +263,116 @@ TEST(SerdeTest, ParseRejectsMalformedRecords) {
   EXPECT_FALSE(ParseRecord(line + " impact=abc", record));     // junk value
 }
 
+// The double codec is pinned to printf("%.17g"), the format every journal
+// so far was written in and the text WarmStartFingerprint hashes.
+std::string PrintfOracle(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+TEST(SerdeTest, DoublesMatchThePrintfOracleAndRoundTrip) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {0.0,     -0.0, 1.0 / 3.0, 1e-310, DBL_MAX, -DBL_MAX, DBL_MIN,
+                                DBL_TRUE_MIN, 1e16, 1e17, 0.1, -2.5, inf, -inf, nan, -nan};
+  Rng rng(17);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t bits = rng.Next();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+  }
+  for (double v : values) {
+    const std::string text = FormatDouble(v);
+    ASSERT_EQ(text, PrintfOracle(v));
+    double parsed = 0.0;
+    ASSERT_TRUE(ParseDoubleField(text, parsed)) << text;
+    if (std::isnan(v)) {
+      EXPECT_TRUE(std::isnan(parsed)) << text;
+    } else {
+      EXPECT_EQ(std::memcmp(&parsed, &v, sizeof(v)), 0) << text;  // -0.0 keeps its sign
+    }
+    SessionRecord record;
+    record.impact = v;
+    EXPECT_NE(SerializeRecord(record).find(" impact=" + PrintfOracle(v) + " "),
+              std::string::npos);
+  }
+}
+
+TEST(SerdeTest, ParseRejectsNumbersOutsideTheCanonicalForm) {
+  SessionRecord valid;
+  valid.fault = Fault({1, 2});
+  const std::string line = SerializeRecord(valid);
+  SessionRecord record;
+  ASSERT_TRUE(ParseRecord(line, record));
+  auto replace = [&line](const std::string& field, const std::string& with) {
+    std::string edited = line;
+    size_t at = edited.find(field);
+    EXPECT_NE(at, std::string::npos) << field;
+    return edited.replace(at, field.size(), with);
+  };
+  EXPECT_FALSE(ParseRecord(replace("impact=0", "impact=+1"), record));
+  EXPECT_FALSE(ParseRecord(replace("impact=0", "impact=0x1p3"), record));
+  EXPECT_FALSE(ParseRecord(replace("impact=0", "impact= 1"), record));
+  EXPECT_FALSE(ParseRecord(replace("cluster=0", "cluster=18446744073709551616"), record));
+  EXPECT_FALSE(ParseRecord(replace("cluster=0", "cluster=-1"), record));
+  EXPECT_FALSE(ParseRecord(replace("exit=0", "exit=2147483648"), record));
+  EXPECT_FALSE(ParseRecord(replace("blocks=0:", "blocks=1:4294967296"), record));
+  EXPECT_FALSE(ParseRecord(replace("blocks=0:", "blocks=18446744073709551615:1"), record));
+  EXPECT_FALSE(ParseRecord(replace("stack=0:", "stack=3:a|b"), record));
+  EXPECT_TRUE(ParseRecord(replace("cluster=0", "cluster=18446744073709551615"), record));
+  EXPECT_EQ(record.cluster_id, 18446744073709551615u);
+}
+
+// Every prefix of a valid line is either a record or rejected — never a
+// crash or an out-of-bounds read (the asan preset runs this suite).
+TEST(SerdeTest, EveryPrefixOfARecordLineParsesOrIsRejected) {
+  SessionRecord full;
+  full.fault = Fault({12, 0, 7});
+  full.impact = 1.0 / 3.0;
+  full.fitness = -0.0;
+  full.cluster_id = 42;
+  full.outcome.crashed = true;
+  full.outcome.exit_code = -11;
+  full.outcome.new_blocks_covered = 2;
+  full.outcome.new_block_ids = {3, 4000000000u};
+  full.outcome.injection_stack = {"main", "", "a|b c"};
+  full.outcome.recovery_failed = true;
+  full.outcome.detail = "torn%write";
+  const std::string line = SerializeRecord(full);
+  // detail= is the last field and required, so only cuts inside its value
+  // can still be records.
+  const size_t detail_value = line.find(" detail=") + std::strlen(" detail=");
+  for (size_t k = 0; k < line.size(); ++k) {
+    // A heap copy of exactly k bytes, so a read past the prefix is caught.
+    std::unique_ptr<char[]> prefix(new char[k]);
+    std::memcpy(prefix.get(), line.data(), k);
+    SessionRecord record;
+    if (ParseRecord(std::string_view(prefix.get(), k), record)) {
+      EXPECT_GE(k, detail_value) << line.substr(0, k);
+    }
+  }
+  SessionRecord record;
+  ASSERT_TRUE(ParseRecord(line, record));
+  ExpectRecordsEqual(record, full);
+}
+
+// WarmStartFingerprint hashes FormatDouble and SerializeFault output, so
+// it pins both codecs: this value was computed by the printf-based codec.
+TEST(SerdeTest, WarmStartFingerprintIsPinned) {
+  FaultSpace space({Axis::MakeInterval("x", 0, 9), Axis::MakeInterval("y", 0, 9)}, "2d");
+  std::vector<SessionRecord> records;
+  const double fitness[] = {1.0 / 3.0, 1e-310, DBL_MAX, 0.1, 2.5, 19.0, 7e22};
+  for (size_t i = 0; i < std::size(fitness); ++i) {
+    SessionRecord record;
+    record.fault = Fault({i, 9 - i});
+    record.fitness = fitness[i];
+    records.push_back(record);
+  }
+  EXPECT_EQ(FingerprintHex(WarmStartFingerprint(space, records)), "cf8d529776a5be2c");
+}
+
 TEST(SerdeTest, FingerprintDistinguishesSpaces) {
   auto make = [](const std::string& name, const std::string& axis, int64_t hi) {
     std::vector<Axis> axes;
@@ -264,7 +419,8 @@ SessionRecord MakeRecord(size_t i) {
 }
 
 TEST(JournalTest, TornTailIsDropped) {
-  const std::string path = TempPath("torn_tail.afexj");
+  const std::string dir = FreshDir("torn");
+  const std::string path = dir + "/j.afexj";
   FaultSpace space({Axis::MakeInterval("x", 0, 9)}, "synthetic");
   {
     CampaignStore store = CampaignStore::Create(path, TestMeta("random", 1, space));
@@ -272,6 +428,8 @@ TEST(JournalTest, TornTailIsDropped) {
       store.Append(MakeRecord(i));
     }
   }
+  const std::string intact = ReadFile(path);
+  const ino_t inode = Inode(path);
   // Simulate a kill mid-write: a final line with no terminating newline.
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
@@ -283,11 +441,18 @@ TEST(JournalTest, TornTailIsDropped) {
     SCOPED_TRACE(i);
     ExpectRecordsEqual(reloaded.records()[i], MakeRecord(i));
   }
+  ExpectOnlyJournalIn(dir);
 
-  // Resuming rewrites the journal without the torn bytes; appending then
-  // yields a fully clean journal.
+  // Resuming truncates the torn bytes away in place — the file is the
+  // pre-tear bytes again, same inode — and appending then yields a fully
+  // clean journal.
   reloaded.CommitResume(5);
+  EXPECT_EQ(ReadFile(path), intact);
+  EXPECT_EQ(Inode(path), inode);
+  ExpectOnlyJournalIn(dir);
   reloaded.Append(MakeRecord(5));
+  EXPECT_EQ(ReadFile(path), intact + "R " + SerializeRecord(MakeRecord(5)) + "\n");
+  ExpectOnlyJournalIn(dir);
   CampaignStore again = CampaignStore::Open(path);
   EXPECT_EQ(again.records().size(), 6u);
 }
@@ -328,6 +493,189 @@ TEST(JournalTest, OpenRejectsNonJournalsAndNewerVersions) {
   }
   EXPECT_THROW(CampaignStore::Open(path), CampaignError);
   EXPECT_THROW(CampaignStore::Open(TempPath("does_not_exist.afexj")), CampaignError);
+}
+
+// Every prefix of a journal file — a kill at any byte — opens to a prefix
+// of its records or is refused with CampaignError; nothing else.
+TEST(JournalTest, EveryPrefixOfAJournalOpensOrIsRefused) {
+  const std::string dir = FreshDir("prefixes");
+  const std::string path = dir + "/j.afexj";
+  FaultSpace space({Axis::MakeInterval("x", 0, 9)}, "synthetic");
+  {
+    CampaignStore store = CampaignStore::Create(path, TestMeta("random", 1, space));
+    store.Append(MakeRecord(0));
+    store.Append(MakeRecord(1));
+  }
+  const std::string bytes = ReadFile(path);
+  const size_t header_end = bytes.find('\n') + 1;
+  for (size_t k = 0; k <= bytes.size(); ++k) {
+    WriteFile(path, bytes.substr(0, k));
+    try {
+      CampaignStore store = CampaignStore::Open(path);
+      EXPECT_GE(k, header_end);
+      ASSERT_LE(store.records().size(), 2u);
+      for (size_t i = 0; i < store.records().size(); ++i) {
+        ExpectRecordsEqual(store.records()[i], MakeRecord(i));
+      }
+    } catch (const CampaignError&) {
+      EXPECT_LT(k, header_end);  // only a missing or torn header is refused
+    }
+  }
+}
+
+// --- truncating resume -----------------------------------------------------
+//
+// CommitResume truncates the journal in place after the records it keeps:
+// their bytes stay as written, the file keeps its inode (no temp file and
+// rename), and appends continue from the cut.
+
+TEST(CommitResumeTest, PartialParallelRoundIsCutAfterTheLastWholeRound) {
+  TargetSuite suite = coreutils::MakeSuite();
+  constexpr size_t kJobs = 4;
+  constexpr uint64_t kSeed = 5;
+  TargetHarness space_harness(suite, kSeed);
+  FaultSpace space = space_harness.MakeSpace(2, /*include_zero_call=*/true);
+  auto make_session = [&](std::vector<std::unique_ptr<TargetHarness>>& harnesses,
+                          Explorer& explorer, SessionConfig config) {
+    std::vector<std::unique_ptr<NodeManager>> managers;
+    for (size_t i = 0; i < kJobs; ++i) {
+      harnesses.push_back(std::make_unique<TargetHarness>(suite, kSeed));
+      TargetHarness* h = harnesses.back().get();
+      managers.push_back(std::make_unique<NodeManager>(
+          "node" + std::to_string(i),
+          NodeManager::Hooks{.test = [h, &space](const Fault& f) {
+            return h->RunFault(space, f);
+          }}));
+    }
+    return std::make_unique<ParallelSession>(explorer, std::move(managers), std::move(config));
+  };
+
+  const std::string dir = FreshDir("parallel_cut");
+  const std::string path = dir + "/j.afexj";
+  const CampaignMeta meta = TestMeta("random", kSeed, space, kJobs);
+  {
+    CampaignStore store = CampaignStore::Create(path, meta);
+    SessionConfig journaling;
+    journaling.record_observer = store.MakeObserver();
+    std::vector<std::unique_ptr<TargetHarness>> harnesses;
+    RandomExplorer explorer(space, kSeed);
+    make_session(harnesses, explorer, std::move(journaling))->Run({.max_tests = 10});
+  }
+  const std::string written = ReadFile(path);
+  // Header plus the first eight record lines: the two whole rounds.
+  size_t cut = 0;
+  for (int line = 0; line < 9; ++line) {
+    cut = written.find('\n', cut) + 1;
+  }
+
+  CampaignStore store = CampaignStore::Open(path, meta);
+  ASSERT_EQ(store.records().size(), 10u);
+  std::vector<std::unique_ptr<TargetHarness>> harnesses;
+  RandomExplorer explorer(space, kSeed);
+  auto session = make_session(harnesses, explorer, {});
+  std::optional<size_t> consumed = session->Replay(store.records(), {.max_tests = 40});
+  ASSERT_EQ(consumed, std::optional<size_t>(8));  // the round of two is dropped
+  store.CommitResume(*consumed);
+  EXPECT_EQ(ReadFile(path), written.substr(0, cut));
+  ExpectOnlyJournalIn(dir);
+
+  store.Append(store.records().back());
+  CampaignStore reloaded = CampaignStore::Open(path, meta);
+  ASSERT_EQ(reloaded.records().size(), 9u);
+  ExpectRecordsEqual(reloaded.records()[8], reloaded.records()[7]);
+}
+
+TEST(CommitResumeTest, ZeroKeepsTheHeaderLineOnly) {
+  const std::string dir = FreshDir("zero");
+  const std::string path = dir + "/j.afexj";
+  FaultSpace space({Axis::MakeInterval("x", 0, 9)}, "synthetic");
+  std::string header;
+  {
+    CampaignStore store = CampaignStore::Create(path, TestMeta("random", 1, space));
+    header = ReadFile(path);
+    store.Append(MakeRecord(0));
+    store.Append(MakeRecord(1));
+  }
+  CampaignStore store = CampaignStore::Open(path);
+  store.CommitResume(0);
+  EXPECT_EQ(ReadFile(path), header);
+  EXPECT_EQ(header.find('\n'), header.size() - 1);
+  EXPECT_TRUE(store.records().empty());
+  ExpectOnlyJournalIn(dir);
+  EXPECT_THROW(store.CommitResume(1), CampaignError);
+}
+
+// A journal written before format v3 (v2 header, records without the
+// recfail=/inv= facets) resumes with its bytes kept as written — nothing is
+// re-serialized — and reloads with the v3 records appended after them.
+TEST(CommitResumeTest, PreV3JournalKeepsItsBytesAndTakesV3Appends) {
+  const std::string dir = FreshDir("v2");
+  const std::string path = dir + "/j.afexj";
+  const std::string v2_journal =
+      "AFEXJ v=2 target=coreutils strategy=random seed=1 space=0123456789abcdef jobs=1 "
+      "feedback=0 warm=0000000000000000 analysis=0000000000000000\n"
+      "R f=1,2 impact=1 fitness=1 cluster=0 failed=1 crashed=0 hung=0 exit=3 newblk=1 "
+      "blocks=1:7 trig=1 stack=1:main detail=boom\n"
+      "R f=2,3 impact=0 fitness=0 cluster=1 failed=0 crashed=0 hung=0 exit=0 newblk=0 "
+      "blocks=0: trig=0 stack=0: detail=\n";
+  WriteFile(path, v2_journal);
+
+  CampaignStore store = CampaignStore::Open(path);
+  EXPECT_EQ(store.meta().version, 2);
+  ASSERT_EQ(store.records().size(), 2u);
+  EXPECT_EQ(store.records()[0].outcome.exit_code, 3);
+  EXPECT_EQ(store.records()[0].outcome.detail, "boom");
+  store.CommitResume(2);
+  EXPECT_EQ(ReadFile(path), v2_journal);
+  SessionRecord v3 = MakeRecord(4);
+  v3.outcome.recovery_failed = true;
+  v3.outcome.invariant_violated = true;
+  store.Append(v3);
+  EXPECT_EQ(ReadFile(path), v2_journal + "R " + SerializeRecord(v3) + "\n");
+  ExpectOnlyJournalIn(dir);
+
+  CampaignStore reloaded = CampaignStore::Open(path);
+  EXPECT_EQ(reloaded.meta().version, 2);
+  ASSERT_EQ(reloaded.records().size(), 3u);
+  ExpectRecordsEqual(reloaded.records()[2], v3);
+  EXPECT_TRUE(reloaded.records()[2].outcome.recovery_failed);
+  EXPECT_TRUE(reloaded.records()[2].outcome.invariant_violated);
+  EXPECT_FALSE(reloaded.records()[0].outcome.recovery_failed);
+}
+
+// Open (the warm-start path) reads a journal it may not write: here a FIFO
+// fed by another thread. Only CommitResume opens a journal for writing.
+TEST(StoreTest, OpenReadsAJournalThroughAFifo) {
+  const std::string dir = FreshDir("fifo");
+  FaultSpace space({Axis::MakeInterval("x", 0, 9)}, "synthetic");
+  const std::string source = dir + "/source.afexj";
+  {
+    CampaignStore store = CampaignStore::Create(source, TestMeta("fitness", 3, space));
+    // Enough records that the journal outgrows the reader's first buffer.
+    for (size_t i = 0; i < 200; ++i) {
+      store.Append(MakeRecord(i));
+    }
+  }
+  const std::string bytes = ReadFile(source);
+  ASSERT_GT(bytes.size(), 4096u * 4);
+  const std::string fifo = dir + "/j.afexj";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+
+  std::thread writer([&fifo, &bytes] {
+    std::ofstream out(fifo, std::ios::binary);  // blocks until Open opens its end
+    out << bytes;
+  });
+  CampaignStore store = CampaignStore::Open(fifo);
+  writer.join();
+  EXPECT_EQ(store.meta().strategy, "fitness");
+  ASSERT_EQ(store.records().size(), 200u);
+  for (size_t i = 0; i < 200; ++i) {
+    SCOPED_TRACE(i);
+    ExpectRecordsEqual(store.records()[i], MakeRecord(i));
+  }
+  struct stat st {};
+  ASSERT_EQ(::stat(fifo.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
 }
 
 TEST(StoreTest, RefusesResumeOnConfigMismatch) {
@@ -371,8 +719,10 @@ TEST(StoreTest, CreateRefusesToOverwriteAnExistingJournal) {
     CampaignStore store = CampaignStore::Create(path, meta);
     store.Append(MakeRecord(0));
   }
+  const std::string before = ReadFile(path);
   EXPECT_THROW(CampaignStore::Create(path, meta), CampaignError);
-  EXPECT_EQ(CampaignStore::Open(path).records().size(), 1u);  // untouched
+  EXPECT_EQ(ReadFile(path), before);  // untouched, byte for byte
+  EXPECT_EQ(CampaignStore::Open(path).records().size(), 1u);
 }
 
 // --- resume equivalence ----------------------------------------------------

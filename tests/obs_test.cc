@@ -595,6 +595,7 @@ TEST(Integration, TelemetryDoesNotPerturbResults) {
 TEST(Integration, JournalAppendRecordsFlushMetrics) {
   CampaignTelemetry telemetry;
   fs::path dir = fs::temp_directory_path() / "afex_obs_journal_test";
+  fs::remove_all(dir);  // Journal::Create refuses a leftover file
   fs::create_directories(dir);
   std::string path = (dir / "j.afexj").string();
   {
