@@ -22,10 +22,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-uint64_t ElapsedMs(Clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - since)
-          .count());
+// How long Shutdown lets a server wind down after control-pipe EOF.
+constexpr uint64_t kShutdownGraceMs = 2000;
+
+// Milliseconds until the next escalation step of a test started at `start`:
+// SIGTERM at the timeout, SIGKILL kill_grace_ms later, then a bounded wait
+// for the status message, which must arrive promptly after SIGKILL.
+uint64_t NextSlice(const ForkserverOptions& options, Clock::time_point start,
+                   bool term_sent, bool kill_sent) {
+  if (kill_sent) {
+    return 2000;
+  }
+  const uint64_t deadline = options.timeout_ms + (term_sent ? options.kill_grace_ms : 0);
+  const uint64_t elapsed = ElapsedMs(start);
+  return deadline > elapsed ? deadline - elapsed : 0;
 }
 
 bool WriteAll(int fd, const void* buf, size_t len) {
@@ -80,39 +90,22 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   // Plans travel over the pipe; a leaked control file from the outer
   // environment must not arm anything.
   env.emplace_back("AFEX_PLAN", "");
-  std::vector<std::string> env_strings = MaterializeEnv(env, options_.preload);
-  std::vector<char*> envp;
-  envp.reserve(env_strings.size() + 1);
-  for (std::string& entry : env_strings) {
-    envp.push_back(entry.data());
-  }
-  envp.push_back(nullptr);
-  std::vector<char*> argv;
-  argv.reserve(options_.argv.size() + 1);
-  for (const std::string& arg : options_.argv) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
+  const ExecImage image(options_.argv, env, options_.preload);
 
+  // Close-on-exec from birth, so a server another thread spawns meanwhile
+  // cannot inherit our ends (a held status write end would turn this
+  // server's death into a timeout). The child's dup2/F_DUPFD clear it.
   int ctl[2] = {-1, -1};
   int status[2] = {-1, -1};
   int out[2] = {-1, -1};
-  if (::pipe(ctl) != 0 || ::pipe(status) != 0 || ::pipe(out) != 0) {
-    for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1]}) {
-      if (fd >= 0) {
-        ::close(fd);
-      }
-    }
-    error = "forkserver: pipe() failed";
-    return false;
-  }
-
-  pid_t pid = ::fork();
+  const bool piped = ::pipe2(ctl, O_CLOEXEC) == 0 && ::pipe2(status, O_CLOEXEC) == 0 &&
+                     ::pipe2(out, O_CLOEXEC) == 0;
+  const pid_t pid = piped ? ::fork() : -1;
   if (pid < 0) {
     for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1]}) {
-      ::close(fd);
+      CloseFd(fd);
     }
-    error = "forkserver: fork() failed";
+    error = piped ? "forkserver: fork() failed" : "forkserver: pipe() failed";
     return false;
   }
 
@@ -141,7 +134,7 @@ bool ForkserverClient::SpawnServer(std::string& error) {
         ::chdir(options_.working_dir.c_str()) != 0) {
       ::_exit(126);
     }
-    ::execvpe(argv[0], argv.data(), envp.data());
+    ::execvpe(image.argv[0], image.argv.data(), image.envp.data());
     ::_exit(127);
   }
 
@@ -152,10 +145,6 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   ctl_write_ = ctl[1];
   status_read_ = status[0];
   out_read_ = out[0];
-  // Future spawns (other workers in this process) must not inherit our ends.
-  ::fcntl(ctl_write_, F_SETFD, FD_CLOEXEC);
-  ::fcntl(status_read_, F_SETFD, FD_CLOEXEC);
-  ::fcntl(out_read_, F_SETFD, FD_CLOEXEC);
   ::fcntl(status_read_, F_SETFL, O_NONBLOCK);
   ::fcntl(out_read_, F_SETFL, O_NONBLOCK);
   server_pid_ = pid;
@@ -225,17 +214,14 @@ bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FaultSpe
   return WriteAll(ctl_write_, buf, len);
 }
 
-void ForkserverClient::NoteServerDeath() {
+void ForkserverClient::ReapServer(uint64_t kill_ms) {
   if (server_pid_ > 0) {
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(server_pid_, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    if (r == server_pid_) {
-      last_death_status_ = status;
-      death_status_valid_ = true;
-    }
+    // What the server still writes is no test's output.
+    std::string discard;
+    const ChildExit child =
+        AwaitChild(server_pid_, out_read_, discard, 0, kNoDeadline, kill_ms);
+    last_death_status_ = child.status;
+    death_status_valid_ = child.reaped;
   }
   server_pid_ = -1;
   CloseFd(ctl_write_);
@@ -246,36 +232,11 @@ void ForkserverClient::NoteServerDeath() {
   iterations_ = 0;
 }
 
-void ForkserverClient::KillServer() {
-  if (server_pid_ > 0) {
-    ::kill(server_pid_, SIGKILL);
-  }
-  NoteServerDeath();
-}
-
 void ForkserverClient::Shutdown() {
-  if (server_pid_ <= 0) {
-    CloseFd(ctl_write_);
-    CloseFd(status_read_);
-    CloseFd(out_read_);
-    return;
-  }
   // EOF on the control pipe is the graceful-stop signal: the forkserver
   // loop _exits, the persistent loop returns into the target's main.
   CloseFd(ctl_write_);
-  for (int i = 0; i < 200; ++i) {
-    int status = 0;
-    pid_t r = ::waitpid(server_pid_, &status, WNOHANG);
-    if (r == server_pid_) {
-      last_death_status_ = status;
-      death_status_valid_ = true;
-      server_pid_ = -1;
-      break;
-    }
-    struct timespec ts{0, 10 * 1000 * 1000};
-    ::nanosleep(&ts, nullptr);
-  }
-  KillServer();  // no-op when already reaped; closes the remaining fds
+  ReapServer(kShutdownGraceMs);
 }
 
 bool ForkserverClient::EnsureServer(std::string& error) {
@@ -331,6 +292,14 @@ bool ForkserverClient::ReadHello(std::string& error) {
 ForkserverTestResult ForkserverClient::RunTest(uint32_t test_id,
                                                const std::vector<FaultSpec>& specs,
                                                uint32_t seq) {
+  // Reject an unencodable plan up front: a failed request write must only
+  // ever mean a dead server.
+  std::vector<FsPlanEntry> probe;
+  if (!EncodePlanEntries(specs, probe)) {
+    ForkserverTestResult result;
+    result.error = "forkserver: unencodable fault plan";
+    return result;
+  }
   return options_.persistent ? RunPersistent(test_id, specs, seq)
                              : RunForked(test_id, specs, seq);
 }
@@ -339,13 +308,6 @@ ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
                                                  const std::vector<FaultSpec>& specs,
                                                  uint32_t seq) {
   ForkserverTestResult result;
-  {
-    std::vector<FsPlanEntry> probe;
-    if (!EncodePlanEntries(specs, probe)) {
-      result.error = "forkserver: unencodable fault plan";
-      return result;
-    }
-  }
   output_.clear();
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
@@ -385,17 +347,7 @@ ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
     bool kill_sent = false;
     bool retry = false;
     while (true) {
-      uint64_t elapsed = ElapsedMs(start);
-      uint64_t slice;
-      if (!term_sent) {
-        slice = options_.timeout_ms > elapsed ? options_.timeout_ms - elapsed : 0;
-      } else if (!kill_sent) {
-        uint64_t hard = options_.timeout_ms + options_.kill_grace_ms;
-        slice = hard > elapsed ? hard - elapsed : 0;
-      } else {
-        slice = 2000;  // post-SIGKILL the status message must arrive promptly
-      }
-      Wait w2 = WaitMsg(msg, slice);
+      Wait w2 = WaitMsg(msg, NextSlice(options_, start, term_sent, kill_sent));
       if (w2 == Wait::kMsg) {
         if (msg.magic != kFsMsgMagic ||
             msg.kind != static_cast<uint32_t>(FsMsgKind::kChildStatus) ||
@@ -470,14 +422,17 @@ ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
       result.error = error;
       return result;
     }
-    if (!WriteRequest(test_id, specs, seq)) {
+    // A failed write means the server is already dead; before the first
+    // ack that is the same non-adopting death as EOF while awaiting it.
+    const bool written = WriteRequest(test_id, specs, seq);
+    if (!written && persistent_acked_) {
       NoteServerDeath();
       result.server_restarted = true;
       continue;
     }
     if (!persistent_acked_) {
       FsMsg ack;
-      Wait w = WaitMsg(ack, options_.handshake_timeout_ms);
+      Wait w = written ? WaitMsg(ack, options_.handshake_timeout_ms) : Wait::kDeath;
       if (w == Wait::kDeath && !ever_acked_) {
         // Died without ever reaching the loop: the target does not adopt
         // afex_persistent_run (or crashes pre-loop, where no fault can be
@@ -506,17 +461,7 @@ ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
     bool kill_sent = false;
     FsMsg msg;
     while (true) {
-      uint64_t elapsed = ElapsedMs(start);
-      uint64_t slice;
-      if (!term_sent) {
-        slice = options_.timeout_ms > elapsed ? options_.timeout_ms - elapsed : 0;
-      } else if (!kill_sent) {
-        uint64_t hard = options_.timeout_ms + options_.kill_grace_ms;
-        slice = hard > elapsed ? hard - elapsed : 0;
-      } else {
-        slice = 2000;
-      }
-      Wait w2 = WaitMsg(msg, slice);
+      Wait w2 = WaitMsg(msg, NextSlice(options_, start, term_sent, kill_sent));
       if (w2 == Wait::kMsg) {
         if (msg.magic != kFsMsgMagic ||
             msg.kind != static_cast<uint32_t>(FsMsgKind::kIterStatus) ||

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "exec/forkserver_protocol.h"
+#include "exec/process_runner.h"
 #include "injection/fault_bus.h"
 #include "obs/metrics.h"
 
@@ -127,9 +128,11 @@ class ForkserverClient {
   Wait WaitMsg(FsMsg& msg, uint64_t deadline_ms);
   bool WriteRequest(uint32_t test_id, const std::vector<FaultSpec>& specs, uint32_t seq);
   void DrainOutput();
-  // Reaps the dead server (capturing its waitpid status), closes pipes.
-  void NoteServerDeath();
-  void KillServer();  // SIGKILL + NoteServerDeath
+  // Reaps the server, SIGKILLing it if it has not exited `kill_ms` from
+  // now, captures its waitpid status and closes the pipes.
+  void ReapServer(uint64_t kill_ms);
+  void NoteServerDeath() { ReapServer(kNoDeadline); }  // it is already dead
+  void KillServer() { ReapServer(0); }
   ForkserverTestResult RunForked(uint32_t test_id, const std::vector<FaultSpec>& specs,
                                  uint32_t seq);
   ForkserverTestResult RunPersistent(uint32_t test_id, const std::vector<FaultSpec>& specs,

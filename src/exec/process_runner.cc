@@ -5,8 +5,8 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,16 +17,12 @@
 namespace afex {
 namespace exec {
 
-namespace {
-
 using Clock = std::chrono::steady_clock;
 
 uint64_t ElapsedMs(Clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - since).count());
 }
-
-}  // namespace
 
 bool DrainAvailable(int fd, std::string& out, size_t cap) {
   char buf[4096];
@@ -45,14 +41,13 @@ bool DrainAvailable(int fd, std::string& out, size_t cap) {
   }
 }
 
-std::vector<std::string> MaterializeEnv(
-    const std::vector<std::pair<std::string, std::string>>& env,
-    const std::string& preload) {
-  std::vector<std::string> env_strings;
+ExecImage::ExecImage(const std::vector<std::string>& args,
+                     const std::vector<std::pair<std::string, std::string>>& env,
+                     const std::string& preload) {
   for (char** e = environ; *e != nullptr; ++e) {
     env_strings.emplace_back(*e);
   }
-  auto set_var = [&env_strings](const std::string& key, const std::string& value) {
+  auto set_var = [this](const std::string& key, const std::string& value) {
     std::string prefix = key + "=";
     for (std::string& entry : env_strings) {
       if (entry.rfind(prefix, 0) == 0) {
@@ -68,7 +63,14 @@ std::vector<std::string> MaterializeEnv(
   if (!preload.empty()) {
     set_var("LD_PRELOAD", preload);
   }
-  return env_strings;
+  for (std::string& entry : env_strings) {
+    envp.push_back(entry.data());
+  }
+  envp.push_back(nullptr);
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
 }
 
 bool IsCrashSignal(int signal) {
@@ -85,52 +87,91 @@ bool IsCrashSignal(int signal) {
   }
 }
 
+ChildExit AwaitChild(pid_t pid, int out_fd, std::string& out, size_t cap,
+                     uint64_t term_ms, uint64_t kill_ms) {
+  ChildExit child;
+  // glibc < 2.36 has no pidfd_open wrapper. The pidfd is close-on-exec.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) {
+    // ESRCH: someone else reaped it, and the pid may name a stranger now.
+    child.pidfd_errno = errno;
+    child.kill_sent = child.pidfd_errno != ESRCH && ::kill(pid, SIGKILL) == 0;
+  }
+  const Clock::time_point start = Clock::now();
+  bool pipe_open = out_fd >= 0;
+  while (pidfd >= 0) {
+    const uint64_t elapsed = ElapsedMs(start);
+    if (!child.term_sent && elapsed >= term_ms) {
+      ::kill(pid, SIGTERM);
+      child.term_sent = true;
+    }
+    if (!child.kill_sent && elapsed >= kill_ms) {
+      ::kill(pid, SIGKILL);
+      child.kill_sent = true;
+    }
+    // Sleep until the child exits, output arrives or the next deadline.
+    const uint64_t next = std::min(child.term_sent ? kNoDeadline : term_ms,
+                                   child.kill_sent ? kNoDeadline : kill_ms);
+    const int timeout = next == kNoDeadline
+                            ? -1
+                            : static_cast<int>(std::min<uint64_t>(next - elapsed, 1 << 30));
+    struct pollfd fds[2] = {{pidfd, POLLIN, 0}, {pipe_open ? out_fd : -1, POLLIN, 0}};
+    if (::poll(fds, 2, timeout) <= 0) {
+      continue;  // deadline or EINTR
+    }
+    if (fds[1].revents != 0) {
+      pipe_open = DrainAvailable(out_fd, out, cap);
+    }
+    if (fds[0].revents != 0) {
+      ::close(pidfd);
+      break;
+    }
+  }
+  pid_t r;
+  do {
+    r = ::waitpid(pid, &child.status, 0);
+  } while (r < 0 && errno == EINTR);
+  child.reaped = r == pid;
+  if (pipe_open) {
+    DrainAvailable(out_fd, out, cap);
+  }
+  return child;
+}
+
 ProcessResult RunProcess(const ProcessRequest& request) {
   ProcessResult result;
   result.spawn_start_ns = obs::NowNs();
   if (request.argv.empty()) {
+    result.start_error = "empty argv";
     return result;
   }
 
-  // Everything the child needs is materialized BEFORE fork: with --jobs the
-  // parent is multithreaded, so the child may only touch async-signal-safe
-  // calls (dup2/chdir/execvpe) — no setenv, no allocation.
-  std::vector<std::string> env_strings = MaterializeEnv(request.env, request.preload);
-  std::vector<char*> envp;
-  envp.reserve(env_strings.size() + 1);
-  for (std::string& entry : env_strings) {
-    envp.push_back(entry.data());
-  }
-  envp.push_back(nullptr);
-  std::vector<char*> argv;
-  argv.reserve(request.argv.size() + 1);
-  for (const std::string& arg : request.argv) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
+  const ExecImage image(request.argv, request.env, request.preload);
 
+  // Close-on-exec from birth: with --jobs another thread may spawn a target
+  // at any moment, and it must not inherit this child's pipe.
   int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
+    result.start_error = std::string("pipe2: ") + ::strerror(errno);
     return result;
   }
 
   pid_t pid = ::fork();
   if (pid < 0) {
+    result.start_error = std::string("fork: ") + ::strerror(errno);
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
     return result;
   }
 
   if (pid == 0) {
-    // ---- child ----
-    ::close(pipe_fds[0]);
+    // ---- child ---- (dup2 clears close-on-exec on stdout/stderr)
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::dup2(pipe_fds[1], STDERR_FILENO);
-    ::close(pipe_fds[1]);
     if (!request.working_dir.empty() && ::chdir(request.working_dir.c_str()) != 0) {
       ::_exit(126);
     }
-    ::execvpe(argv[0], argv.data(), envp.data());
+    ::execvpe(image.argv[0], image.argv.data(), image.envp.data());
     // exec failed: report via the conventional shell status.
     ::_exit(127);
   }
@@ -138,54 +179,28 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   // ---- parent ----
   ::close(pipe_fds[1]);
   ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-  result.started = true;
   result.spawn_ns = obs::NowNs() - result.spawn_start_ns;
 
   const Clock::time_point start = Clock::now();
-  bool term_sent = false;
-  bool kill_sent = false;
-  bool pipe_open = true;
-  int status = 0;
-
-  while (true) {
-    pid_t done = ::waitpid(pid, &status, WNOHANG);
-    if (done == pid) {
-      break;
-    }
-    uint64_t elapsed = ElapsedMs(start);
-    if (!term_sent && elapsed >= request.timeout_ms) {
-      result.timed_out = true;
-      ::kill(pid, SIGTERM);
-      term_sent = true;
-    } else if (term_sent && !kill_sent &&
-               elapsed >= request.timeout_ms + request.kill_grace_ms) {
-      ::kill(pid, SIGKILL);
-      kill_sent = true;
-    }
-    if (pipe_open) {
-      struct pollfd pfd{pipe_fds[0], POLLIN, 0};
-      ::poll(&pfd, 1, 20);
-      pipe_open = DrainAvailable(pipe_fds[0], result.output, request.max_output_bytes);
-    } else {
-      struct timespec ts{0, 5 * 1000 * 1000};
-      ::nanosleep(&ts, nullptr);
-    }
-  }
-
-  // Collect output written before exit that we have not read yet.
-  if (pipe_open) {
-    DrainAvailable(pipe_fds[0], result.output, request.max_output_bytes);
-  }
+  const ChildExit child =
+      AwaitChild(pid, pipe_fds[0], result.output, request.max_output_bytes,
+                 request.timeout_ms, request.timeout_ms + request.kill_grace_ms);
   ::close(pipe_fds[0]);
 
   result.wait_ns = obs::NowNs() - (result.spawn_start_ns + result.spawn_ns);
-  result.kill_escalated = kill_sent;
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  if (WIFEXITED(status)) {
+  if (child.pidfd_errno != 0) {
+    result.start_error = std::string("pidfd_open: ") + ::strerror(child.pidfd_errno);
+    return result;
+  }
+  result.started = true;
+  result.timed_out = child.term_sent;
+  result.kill_escalated = child.kill_sent;
+  if (child.reaped && WIFEXITED(child.status)) {
     result.exited = true;
-    result.exit_code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    result.term_signal = WTERMSIG(status);
+    result.exit_code = WEXITSTATUS(child.status);
+  } else if (child.reaped && WIFSIGNALED(child.status)) {
+    result.term_signal = WTERMSIG(child.status);
   }
   return result;
 }

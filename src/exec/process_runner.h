@@ -3,10 +3,14 @@
 // sandbox working directory with LD_PRELOAD and the AFEX control
 // environment set, captures combined stdout/stderr, enforces a wall-clock
 // timeout with SIGTERM → SIGKILL escalation, and reports how the process
-// died (exit code, terminating signal, or timeout).
+// died (exit code, terminating signal, or timeout). Children are awaited on
+// a pidfd (Linux >= 5.3), so the parent wakes the moment one exits.
 #ifndef AFEX_EXEC_PROCESS_RUNNER_H_
 #define AFEX_EXEC_PROCESS_RUNNER_H_
 
+#include <sys/types.h>
+
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -36,6 +40,7 @@ struct ProcessRequest {
 
 struct ProcessResult {
   bool started = false;   // fork/exec plumbing succeeded
+  std::string start_error;  // why started == false
   bool exited = false;    // terminated via exit(); exit_code valid
   int exit_code = -1;
   int term_signal = 0;    // non-zero when terminated by a signal
@@ -54,23 +59,53 @@ struct ProcessResult {
 
 ProcessResult RunProcess(const ProcessRequest& request);
 
+// How AwaitChild's child ended.
+struct ChildExit {
+  bool reaped = false;  // `status` holds the waitpid status
+  int status = 0;
+  bool term_sent = false;
+  bool kill_sent = false;
+  int pidfd_errno = 0;  // pidfd_open failed; unless ESRCH, the child was SIGKILLed and reaped
+};
+
+// An AwaitChild deadline that never fires.
+inline constexpr uint64_t kNoDeadline = UINT64_MAX;
+
+// The exec layer's one child waiter. Polls a pidfd of child `pid` together
+// with the nonblocking output pipe `out_fd` (-1 = none), draining it into
+// `out` up to `cap`, until the child exits; then reaps it and drains what
+// the pipe still holds. Reaping never waits for pipe EOF, which a grandchild
+// may hold off. The child gets SIGTERM `term_ms` and SIGKILL `kill_ms` after
+// the call.
+ChildExit AwaitChild(pid_t pid, int out_fd, std::string& out, size_t cap,
+                     uint64_t term_ms, uint64_t kill_ms);
+
 // True when `signal` is one of the crash signals (SEGV, ABRT, BUS, FPE,
 // ILL, TRAP) — the classification the harness maps to TestOutcome::crashed.
 bool IsCrashSignal(int signal);
 
-// Child-environment materialization shared by RunProcess and the forkserver
-// client (exec/forkserver.h): inherited environment with `env` overrides
-// applied and LD_PRELOAD set to `preload` (when non-empty). Built entirely
-// pre-fork because with --jobs the parent is multithreaded and the forked
-// child may only touch async-signal-safe calls.
-std::vector<std::string> MaterializeEnv(
-    const std::vector<std::pair<std::string, std::string>>& env,
-    const std::string& preload);
+// A child's execvpe arguments, shared by RunProcess and the forkserver
+// client: `args`, and the inherited environment with `env` applied and
+// LD_PRELOAD set to `preload` (when non-empty). Built entirely pre-fork
+// because with --jobs the parent is multithreaded and the forked child may
+// only touch async-signal-safe calls. `argv` points into `args`.
+struct ExecImage {
+  ExecImage(const std::vector<std::string>& args,
+            const std::vector<std::pair<std::string, std::string>>& env,
+            const std::string& preload);
+  ExecImage(const ExecImage&) = delete;
+  std::vector<std::string> env_strings;
+  std::vector<char*> argv;
+  std::vector<char*> envp;
+};
 
 // Drains whatever is readable right now from a nonblocking `fd` into `out`,
 // up to `cap` total bytes (excess is read and discarded so the writer never
 // blocks on a full pipe). Returns false once the pipe reports EOF.
 bool DrainAvailable(int fd, std::string& out, size_t cap);
+
+// Whole milliseconds since `since` on the steady clock.
+uint64_t ElapsedMs(std::chrono::steady_clock::time_point since);
 
 }  // namespace exec
 }  // namespace afex

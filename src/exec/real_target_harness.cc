@@ -298,9 +298,9 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     run.kill_escalated = pr.kill_escalated;
     run.output = std::move(pr.output);
     if (!run.started) {
-      run.start_error =
-          "exec: failed to start " +
-          (request.argv.empty() ? std::string("<empty>") : request.argv[0]);
+      run.start_error = "exec: failed to start " +
+                        (request.argv.empty() ? std::string("<empty>") : request.argv[0]) +
+                        ": " + pr.start_error;
     }
   } else {
     // ---- forkserver / persistent: one pipe round-trip per test ----

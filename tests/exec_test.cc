@@ -11,15 +11,20 @@
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/target_profile.h"
@@ -213,7 +218,97 @@ TEST(ProcessRunnerTest, TimeoutEscalatesToSigkill) {
   EXPECT_TRUE(result.timed_out);
   EXPECT_FALSE(result.exited);
   EXPECT_EQ(result.term_signal, SIGKILL);
+  EXPECT_TRUE(result.kill_escalated);
+  // SIGKILL waits out the grace after SIGTERM: timeout + grace = 0.3 s.
+  EXPECT_GE(result.wall_seconds, 0.3);
   EXPECT_LT(result.wall_seconds, 10.0);
+}
+
+TEST(ProcessRunnerTest, ReapsWithoutWaitingForPipeEof) {
+  // The backgrounded grandchild holds the output pipe open for 3 s; the
+  // runner must return as soon as the child itself exits.
+  ProcessRequest request;
+  request.argv = {"/bin/sh", "-c", "echo early; sleep 3 & exit 5"};
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started) << result.start_error;
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 5);
+  EXPECT_NE(result.output.find("early"), std::string::npos) << result.output;
+  EXPECT_LT(result.wall_seconds, 1.0);
+}
+
+TEST(ProcessRunnerTest, OutputCapHoldsForAFloodingChild) {
+  // 200 KB is more than a pipe buffers, so the waiter must drain while the
+  // child runs; everything past the cap is read and dropped.
+  ProcessRequest request;
+  request.argv = {"/bin/sh", "-c", "head -c 204800 /dev/zero; exit 0"};
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started) << result.start_error;
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output.size(), request.max_output_bytes);
+}
+
+std::ptrdiff_t OpenFdCount() {
+  return std::distance(fs::directory_iterator("/proc/self/fd"), fs::directory_iterator());
+}
+
+// True when this process has no exited-but-unreaped child.
+bool NoZombieChild() {
+  siginfo_t info{};
+  return ::waitid(P_ALL, 0, &info, WEXITED | WNOHANG | WNOWAIT) != 0 || info.si_pid == 0;
+}
+
+TEST(ProcessRunnerTest, RepeatedRunsLeakNoFdsAndNoChildren) {
+  const std::ptrdiff_t fds_before = OpenFdCount();
+  ProcessRequest request;
+  request.argv = {"/bin/true"};
+  for (int i = 0; i < 200; ++i) {
+    ProcessResult result = RunProcess(request);
+    ASSERT_TRUE(result.started) << result.start_error;
+    ASSERT_EQ(result.exit_code, 0);
+  }
+  // Neither the output pipe nor the pidfd outlives its run.
+  EXPECT_EQ(OpenFdCount(), fds_before);
+  EXPECT_TRUE(NoZombieChild());
+}
+
+TEST(ProcessRunnerTest, AwaitChildReportsAPidItCannotOpen) {
+  // A pid reaped behind the waiter's back may already name another
+  // process: the waiter reports pidfd_open's errno and signals nothing.
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::_exit(0);
+  }
+  ASSERT_EQ(::waitpid(pid, nullptr, 0), pid);
+  std::string out;
+  ChildExit child = AwaitChild(pid, -1, out, 0, kNoDeadline, kNoDeadline);
+  EXPECT_EQ(child.pidfd_errno, ESRCH);
+  EXPECT_FALSE(child.kill_sent);
+  EXPECT_FALSE(child.reaped);
+}
+
+TEST(ProcessRunnerTest, PipeIsNotInheritedByAConcurrentChild) {
+  // With --jobs, node threads spawn targets concurrently: a child started
+  // while another one runs must not inherit the first child's pipe.
+  std::string dir = TempDir("cloexec");
+  ProcessResult first;
+  std::thread sleeper([&first, &dir] {
+    ProcessRequest request;
+    request.argv = {"/bin/sh", "-c",
+                    "readlink /proc/self/fd/1; touch " + dir + "/ready; sleep 1"};
+    first = RunProcess(request);
+  });
+  for (int i = 0; i < 10000 && !fs::exists(dir + "/ready"); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ProcessRequest request;
+  request.argv = {"/bin/ls", "-l", "/proc/self/fd"};
+  ProcessResult second = RunProcess(request);
+  sleeper.join();
+  ASSERT_TRUE(second.started) << second.start_error;
+  const std::string first_pipe = first.output.substr(0, first.output.find('\n'));
+  ASSERT_EQ(first_pipe.rfind("pipe:[", 0), 0u) << first.output;
+  EXPECT_EQ(second.output.find(first_pipe), std::string::npos) << second.output;
 }
 
 TEST(ProcessRunnerTest, ClassifiesAbortSignal) {
@@ -759,6 +854,55 @@ TEST(ForkserverClientTest, PersistentFallsBackWhenTargetNeverAdopts) {
   ASSERT_TRUE(next.ran) << next.error;
   EXPECT_EQ(next.exit_code, 0);
   EXPECT_FALSE(next.persistent_fell_back);
+}
+
+TEST(ForkserverClientTest, PersistentFallsBackWhenServerDiesBeforeFirstWrite) {
+  // The non-adopting server has exited (unreaped) before the first request,
+  // so the write itself fails with EPIPE: that is the same death before
+  // the ack as above, and must downgrade the same way, without a restart.
+  ForkserverOptions opts =
+      WalutilFsOptions(TempDir("fs_fallback_epipe"), /*persistent=*/true);
+  opts.argv = {"/bin/sh", "-c", "echo no-adoption; exit 0"};
+  ForkserverClient client(opts);
+  std::string error;
+  ASSERT_TRUE(client.EnsureServer(error)) << error;
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(client.server_pid()), &info,
+                     WEXITED | WNOWAIT),
+            0);
+  ForkserverTestResult result = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(result.ran) << result.error;
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.persistent_fell_back);
+  EXPECT_FALSE(result.server_restarted);
+  EXPECT_FALSE(client.persistent_active());
+}
+
+TEST(ForkserverClientTest, PersistentRecycleMatchesAnUnrecycledClient) {
+  // A recycle every 2 iterations shuts the server down between tests; the
+  // results must not tell that apart from one long-lived server.
+  const std::vector<FaultSpec> open_fault = {
+      {.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}};
+  ForkserverClient steady(WalutilFsOptions(TempDir("fs_steady"), /*persistent=*/true));
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_recycle"), /*persistent=*/true);
+  opts.persistent_max_iterations = 2;
+  ForkserverClient recycled(opts);
+  for (uint32_t seq = 1; seq <= 10; ++seq) {
+    const uint32_t test_id = 1 + seq % 2;
+    const std::vector<FaultSpec> specs = seq % 3 == 0 ? open_fault : std::vector<FaultSpec>{};
+    ForkserverTestResult want = steady.RunTest(test_id, specs, seq);
+    ForkserverTestResult got = recycled.RunTest(test_id, specs, seq);
+    ASSERT_TRUE(want.ran) << want.error;
+    ASSERT_TRUE(got.ran) << got.error;
+    EXPECT_EQ(got.exited, want.exited) << "test " << seq;
+    EXPECT_EQ(got.exit_code, want.exit_code) << "test " << seq;
+    EXPECT_EQ(got.term_signal, want.term_signal) << "test " << seq;
+    EXPECT_EQ(got.output, want.output) << "test " << seq;
+    EXPECT_FALSE(got.server_restarted) << "test " << seq;
+  }
+  EXPECT_EQ(steady.generations(), 1u);
+  EXPECT_GE(recycled.generations(), 5u);
+  EXPECT_TRUE(recycled.persistent_active());
 }
 
 // ---------------------------------------------------------------------------
