@@ -1,5 +1,8 @@
 #include "exec/fault_plan.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -57,13 +60,17 @@ bool WriteFaultPlan(const std::string& path, const std::vector<FaultSpec>& specs
     }
     text += '\n';
   }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
+  // One pwrite(2) over the old plan, then cut what is left of it. No
+  // O_TRUNC: on ext4 a file truncated to zero and rewritten is flushed at
+  // close (auto_da_alloc), which made each plan cost ~40 us, not ~4.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return false;
   }
-  out << text;
-  out.flush();
-  return static_cast<bool>(out);
+  const bool written =
+      ::pwrite(fd, text.data(), text.size(), 0) == static_cast<ssize_t>(text.size()) &&
+      ::ftruncate(fd, static_cast<off_t>(text.size())) == 0;
+  return ::close(fd) == 0 && written;
 }
 
 bool ParseFaultPlanFile(const std::string& path, std::vector<FaultSpec>& out) {

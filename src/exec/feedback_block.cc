@@ -1,18 +1,22 @@
 #include "exec/feedback_block.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace afex {
 namespace exec {
 
 bool CreateFeedbackFile(const char* path) {
-  FILE* f = std::fopen(path, "wb");
-  if (f == nullptr) {
+  // Truncate, then extend: the kernel zero-fills the hole, so the 16 KB
+  // block is never copied through a write.
+  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return false;
   }
-  static const FeedbackBlock kZero{};
-  size_t written = std::fwrite(&kZero, sizeof(kZero), 1, f);
-  return std::fclose(f) == 0 && written == 1;
+  const bool sized = ::ftruncate(fd, sizeof(FeedbackBlock)) == 0;
+  return ::close(fd) == 0 && sized;
 }
 
 FeedbackReadStatus ReadFeedbackBlockStatus(const char* path, FeedbackBlock& out) {

@@ -224,6 +224,7 @@ void ForkserverClient::ReapServer(uint64_t kill_ms) {
     death_status_valid_ = child.reaped;
   }
   server_pid_ = -1;
+  hello_pending_ = false;
   CloseFd(ctl_write_);
   CloseFd(status_read_);
   CloseFd(out_read_);
@@ -239,15 +240,23 @@ void ForkserverClient::Shutdown() {
   ReapServer(kShutdownGraceMs);
 }
 
+void ForkserverClient::Launch() {
+  std::string error;  // a failed spawn is retried, and reported, on first use
+  if (server_pid_ <= 0 && SpawnServer(error)) {
+    hello_pending_ = true;
+  }
+}
+
 bool ForkserverClient::EnsureServer(std::string& error) {
-  if (server_pid_ > 0) {
+  if (server_pid_ > 0 && !hello_pending_) {
     return true;
   }
   obs::PhaseTimer timer(metrics_, obs::Phase::kRealFsRestart);
   const bool respawn = generations_ > 0;
-  if (!SpawnServer(error)) {
+  if (server_pid_ <= 0 && !SpawnServer(error)) {
     return false;
   }
+  hello_pending_ = false;
   if (!ReadHello(error)) {
     KillServer();
     return false;
@@ -379,10 +388,10 @@ ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
       }
       if (!term_sent) {
         result.timed_out = true;
-        ::kill(child, SIGTERM);
+        SignalTree(child, SIGTERM);
         term_sent = true;
       } else if (!kill_sent) {
-        ::kill(child, SIGKILL);
+        SignalTree(child, SIGKILL);
         kill_sent = true;
       } else {
         // The server itself is wedged; nothing more to learn from it.

@@ -12,8 +12,9 @@
 // server and transparently respawns it, retrying the in-flight test once.
 // Two extra behaviors ride on that machinery:
 //  * Timeout kill: the server is blocked in waitpid while a child runs, so
-//    the client delivers SIGTERM → SIGKILL to the child pid reported in the
-//    kChildPid message, then collects the regular status message.
+//    the client delivers SIGTERM → SIGKILL to the process group of the
+//    child pid reported in the kChildPid message (the server makes each
+//    child a group leader), then collects the regular status message.
 //  * Persistent fallback: a persistent server that dies before ever
 //    sending kPersistentAck never reached afex_persistent_run (the target
 //    did not adopt the hook, or crashed pre-loop, where no fault can have
@@ -96,6 +97,11 @@ class ForkserverClient {
   // timeout, wrong protocol magic/version); `error` gets the reason.
   bool EnsureServer(std::string& error);
 
+  // Spawns the server without awaiting its Hello, so that several servers
+  // start up concurrently; the next EnsureServer or RunTest completes the
+  // handshake (and reports a failed spawn).
+  void Launch();
+
   // Runs one test: test_id is substituted into the argv placeholders,
   // specs are armed as the fault plan, seq stamps the feedback block
   // (FeedbackBlock::test_seq) and sequences the protocol messages.
@@ -154,6 +160,7 @@ class ForkserverClient {
   int last_death_status_ = 0;  // waitpid status captured by NoteServerDeath
   bool death_status_valid_ = false;
 
+  bool hello_pending_ = false;     // launched, handshake not yet read
   bool persistent_acked_ = false;  // this incarnation reached the loop
   bool ever_acked_ = false;        // some incarnation did (fallback gate)
   uint32_t iterations_ = 0;        // in the current incarnation

@@ -948,6 +948,10 @@ void ServeForkserver() {
     ArmPlans(entries, req.plan_count);
     pid_t pid = fork();
     if (pid == 0) {
+      // Its own process group, so the client's timeout kill also reaches
+      // whatever the test forks. The server repeats the call below before
+      // it reports the pid: whichever runs first wins the race with exec.
+      setpgid(0, 0);
       g_real_close(kForkserverCtlFd);
       g_real_close(kForkserverStatusFd);
       RewriteArgvForTest(req.test_id);
@@ -959,6 +963,7 @@ void ServeForkserver() {
       }
       continue;
     }
+    setpgid(pid, pid);
     if (!SendMsg(FsMsgKind::kChildPid, static_cast<int32_t>(pid), req.test_seq)) {
       _exit(0);
     }

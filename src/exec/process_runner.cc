@@ -73,6 +73,10 @@ ExecImage::ExecImage(const std::vector<std::string>& args,
   argv.push_back(nullptr);
 }
 
+bool SignalTree(pid_t pid, int signal) {
+  return ::kill(-pid, signal) == 0 || (errno == ESRCH && ::kill(pid, signal) == 0);
+}
+
 bool IsCrashSignal(int signal) {
   switch (signal) {
     case SIGSEGV:
@@ -95,18 +99,18 @@ ChildExit AwaitChild(pid_t pid, int out_fd, std::string& out, size_t cap,
   if (pidfd < 0) {
     // ESRCH: someone else reaped it, and the pid may name a stranger now.
     child.pidfd_errno = errno;
-    child.kill_sent = child.pidfd_errno != ESRCH && ::kill(pid, SIGKILL) == 0;
+    child.kill_sent = child.pidfd_errno != ESRCH && SignalTree(pid, SIGKILL);
   }
   const Clock::time_point start = Clock::now();
   bool pipe_open = out_fd >= 0;
   while (pidfd >= 0) {
     const uint64_t elapsed = ElapsedMs(start);
     if (!child.term_sent && elapsed >= term_ms) {
-      ::kill(pid, SIGTERM);
+      SignalTree(pid, SIGTERM);
       child.term_sent = true;
     }
     if (!child.kill_sent && elapsed >= kill_ms) {
-      ::kill(pid, SIGKILL);
+      SignalTree(pid, SIGKILL);
       child.kill_sent = true;
     }
     // Sleep until the child exits, output arrives or the next deadline.
@@ -166,6 +170,9 @@ ProcessResult RunProcess(const ProcessRequest& request) {
 
   if (pid == 0) {
     // ---- child ---- (dup2 clears close-on-exec on stdout/stderr)
+    // Its own process group, so a timeout kill reaches its descendants.
+    // Both sides call setpgid: whichever runs first wins the race with exec.
+    ::setpgid(0, 0);
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::dup2(pipe_fds[1], STDERR_FILENO);
     if (!request.working_dir.empty() && ::chdir(request.working_dir.c_str()) != 0) {
@@ -177,6 +184,7 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   }
 
   // ---- parent ----
+  ::setpgid(pid, pid);
   ::close(pipe_fds[1]);
   ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
   result.spawn_ns = obs::NowNs() - result.spawn_start_ns;

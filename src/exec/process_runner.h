@@ -3,8 +3,10 @@
 // sandbox working directory with LD_PRELOAD and the AFEX control
 // environment set, captures combined stdout/stderr, enforces a wall-clock
 // timeout with SIGTERM → SIGKILL escalation, and reports how the process
-// died (exit code, terminating signal, or timeout). Children are awaited on
-// a pidfd (Linux >= 5.3), so the parent wakes the moment one exits.
+// died (exit code, terminating signal, or timeout). Each child leads its own
+// process group, so the escalation also reaches whatever it forked.
+// Children are awaited on a pidfd (Linux >= 5.3), so the parent wakes the
+// moment one exits.
 #ifndef AFEX_EXEC_PROCESS_RUNNER_H_
 #define AFEX_EXEC_PROCESS_RUNNER_H_
 
@@ -76,9 +78,14 @@ inline constexpr uint64_t kNoDeadline = UINT64_MAX;
 // `out` up to `cap`, until the child exits; then reaps it and drains what
 // the pipe still holds. Reaping never waits for pipe EOF, which a grandchild
 // may hold off. The child gets SIGTERM `term_ms` and SIGKILL `kill_ms` after
-// the call.
+// the call, through SignalTree.
 ChildExit AwaitChild(pid_t pid, int out_fd, std::string& out, size_t cap,
                      uint64_t term_ms, uint64_t kill_ms);
+
+// Sends `signal` to the process group `pid` leads — the child and whatever
+// it forked — or, when `pid` leads no group (ESRCH), to `pid` alone.
+// True when the signal was delivered.
+bool SignalTree(pid_t pid, int signal);
 
 // True when `signal` is one of the crash signals (SEGV, ABRT, BUS, FPE,
 // ILL, TRAP) — the classification the harness maps to TestOutcome::crashed.

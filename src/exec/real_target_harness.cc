@@ -1,11 +1,16 @@
 #include "exec/real_target_harness.h"
 
+#include <elf.h>
+#include <fcntl.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
+#include <sys/xattr.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <system_error>
 
 #include "exec/fault_plan.h"
@@ -51,6 +56,57 @@ void CleanDirInPlace(const fs::path& dir) {
     std::error_code rm_ec;
     fs::remove_all(entry, rm_ec);
   }
+}
+
+// Where execvp would find `name` for a child that starts in `cwd` (the
+// child chdirs before it execs, so relative paths resolve there), or "".
+std::string ResolveLikeExecvp(const std::string& name, const fs::path& cwd) {
+  if (name.find('/') != std::string::npos) {
+    return (cwd / name).string();  // an absolute name replaces cwd
+  }
+  const char* env_path = ::getenv("PATH");
+  std::istringstream dirs(env_path != nullptr ? env_path : "/bin:/usr/bin");
+  for (std::string dir; std::getline(dirs, dir, ':');) {
+    const fs::path candidate = cwd / (dir.empty() ? "." : dir) / name;
+    std::error_code ec;
+    if (fs::is_regular_file(candidate, ec) && ::access(candidate.c_str(), X_OK) == 0) {
+      return candidate.string();
+    }
+  }
+  return "";
+}
+
+// True when `argv0`, resolved like execvp from `cwd`, can idle in the
+// interposer's serve loop: a dynamically linked ELF64 (it has a PT_INTERP,
+// so ld.so loads the LD_PRELOAD interposer) without set-id bits or file
+// capabilities (secure-execution mode drops the preload). Anything else —
+// a static binary, a script, a set-id program — would run its main as the
+// "server", so it is spawned afresh per run instead.
+bool ServesFromForkserver(const std::string& argv0, const std::string& cwd) {
+  const std::string path = ResolveLikeExecvp(argv0, cwd);
+  const int fd = path.empty() ? -1 : ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
+  }
+  struct stat st;
+  Elf64_Ehdr header;
+  bool interp = false;
+  if (::fstat(fd, &st) == 0 && (st.st_mode & (S_ISUID | S_ISGID)) == 0 &&
+      ::fgetxattr(fd, "security.capability", nullptr, 0) < 0 &&
+      ::pread(fd, &header, sizeof(header), 0) == static_cast<ssize_t>(sizeof(header)) &&
+      std::memcmp(header.e_ident, ELFMAG, SELFMAG) == 0 &&
+      header.e_ident[EI_CLASS] == ELFCLASS64 && header.e_phentsize == sizeof(Elf64_Phdr)) {
+    for (Elf64_Half i = 0; i < header.e_phnum && !interp; ++i) {
+      Elf64_Phdr phdr;
+      const off_t at = static_cast<off_t>(header.e_phoff + i * sizeof(phdr));
+      if (::pread(fd, &phdr, sizeof(phdr), at) != static_cast<ssize_t>(sizeof(phdr))) {
+        break;
+      }
+      interp = phdr.p_type == PT_INTERP;
+    }
+  }
+  ::close(fd);
+  return interp;
 }
 
 // How one test's process terminated, normalized across the three exec
@@ -137,8 +193,10 @@ RealTargetHarness::RealTargetHarness(RealTargetConfig config)
 }
 
 RealTargetHarness::~RealTargetHarness() {
-  // Stop the server before its working directory disappears.
+  // Stop the servers before their working directory disappears.
   forkserver_.reset();
+  recovery_server_.reset();
+  verify_server_.reset();
   std::error_code ec;
   if (own_work_root_ && !config_.keep_scratch) {
     fs::remove_all(work_root_, ec);
@@ -149,8 +207,11 @@ RealTargetHarness::~RealTargetHarness() {
 
 void RealTargetHarness::set_metrics_sink(obs::MetricsSink* sink) {
   metrics_ = sink;
-  if (forkserver_ != nullptr) {
-    forkserver_->set_metrics_sink(sink);
+  for (ForkserverClient* client :
+       {forkserver_.get(), recovery_server_.get(), verify_server_.get()}) {
+    if (client != nullptr) {
+      client->set_metrics_sink(sink);
+    }
   }
 }
 
@@ -182,8 +243,34 @@ bool RealTargetHarness::EnsureForkserver(std::string& why) {
   opts.persistent = config_.exec_mode == ExecMode::kPersistent;
   opts.timeout_ms = config_.timeout_ms;
   opts.max_output_bytes = config_.max_output_bytes;
+  // Recovery and verify get forkservers of their own, so each phase run is
+  // a pipe round trip plus a fork from an exec'd, linked process. A phase
+  // server only ever receives empty plans and maps no feedback file (its
+  // block stays process-local), so the interposer is loaded in the phase
+  // but never armed, and never touches the workload's block.
+  auto phase_server = [&opts, this](const std::vector<std::string>& argv) {
+    std::unique_ptr<ForkserverClient> client;
+    if (!argv.empty() && ServesFromForkserver(argv[0], sandbox_dir_)) {
+      ForkserverOptions phase = opts;
+      phase.argv = argv;
+      phase.env = {{"AFEX_FEEDBACK", ""}};
+      phase.persistent = false;
+      client = std::make_unique<ForkserverClient>(std::move(phase));
+      client->set_metrics_sink(metrics_);
+    }
+    return client;
+  };
+  recovery_server_ = phase_server(config_.recovery_argv);
+  verify_server_ = phase_server(config_.verify_argv);
   forkserver_ = std::make_unique<ForkserverClient>(std::move(opts));
   forkserver_->set_metrics_sink(metrics_);
+  // Start all servers at once; each handshake completes on first use.
+  for (ForkserverClient* client :
+       {forkserver_.get(), recovery_server_.get(), verify_server_.get()}) {
+    if (client != nullptr) {
+      client->Launch();
+    }
+  }
   return true;
 }
 
@@ -477,8 +564,10 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
   // Runs after every test (not just crashed ones: silent corruption is
   // invisible until the verifier looks), in the same sandbox the workload
   // ran in, strictly before any recycling — the crash state on disk IS the
-  // input to these phases. No interposer, no fault plan: recovery and
-  // verification are observed, never faulted.
+  // input to these phases. No fault plan: recovery and verification are
+  // observed, never faulted. In fs modes a phase runs through its own
+  // forkserver when it has one, else (and in spawn mode) as a fresh spawn
+  // with no interposer.
   if (run.started &&
       (!config_.recovery_argv.empty() || !config_.verify_argv.empty())) {
     auto fold_detail = [&outcome](const std::string& tag, const std::string& line) {
@@ -490,8 +579,15 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
         outcome.detail += ": " + line;
       }
     };
-    auto run_phase = [&](const std::vector<std::string>& argv,
+    auto run_phase = [&](const std::vector<std::string>& argv, ForkserverClient* server,
                          std::string& first_line) {
+      if (server != nullptr) {
+        ForkserverTestResult r =
+            server->RunTest(static_cast<uint32_t>(plan.test_id + 1), {}, expect_seq);
+        first_line = FirstLine(r.output);
+        return r.ran && r.exited && !r.timed_out && r.term_signal == 0 && r.exit_code == 0;
+      }
+      count("real.phase_spawned");
       ProcessRequest req;
       for (const std::string& arg : argv) {
         std::string expanded = arg;
@@ -512,7 +608,7 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     if (!config_.recovery_argv.empty()) {
       obs::PhaseTimer recovery_timer(metrics_, obs::Phase::kRealRecoveryRun);
       std::string line;
-      if (!run_phase(config_.recovery_argv, line)) {
+      if (!run_phase(config_.recovery_argv, recovery_server_.get(), line)) {
         outcome.recovery_failed = true;
         count("real.recovery_failed");
         fold_detail("recovery failed", line);
@@ -523,7 +619,7 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     if (!outcome.recovery_failed && !config_.verify_argv.empty()) {
       obs::PhaseTimer verify_timer(metrics_, obs::Phase::kRealVerify);
       std::string line;
-      if (!run_phase(config_.verify_argv, line)) {
+      if (!run_phase(config_.verify_argv, verify_server_.get(), line)) {
         outcome.invariant_violated = true;
         count("real.invariant_violated");
         fold_detail("invariant violated", line);

@@ -76,11 +76,15 @@ struct RealTargetConfig {
   // Two-phase crash→recover→verify (storage-failure campaigns). When
   // either is non-empty, after every workload run the harness re-runs the
   // target in recovery mode (`recovery_argv`) and then the verifier
-  // (`verify_argv`) in the workload's sandbox — no interposer, no fault
-  // plan — and folds the results into the same TestOutcome
-  // (recovery_failed / invariant_violated). "{test}" substitutes in both,
-  // like target_argv. Verify runs after every test, even a cleanly exited
-  // workload: silent corruption is exactly the case where only the
+  // (`verify_argv`) in the workload's sandbox — never with a fault plan —
+  // and folds the results into the same TestOutcome (recovery_failed /
+  // invariant_violated). In forkserver/persistent modes a dynamically
+  // linked phase command runs through a forkserver of its own: the
+  // interposer is loaded there but never armed. Spawn mode, and static,
+  // set-id or script commands in any mode, spawn the phase afresh without
+  // the interposer. "{test}" substitutes in both, like target_argv (not
+  // appended when absent). Verify runs after every test, even a cleanly
+  // exited workload: silent corruption is exactly the case where only the
   // verifier notices.
   std::vector<std::string> recovery_argv;
   std::vector<std::string> verify_argv;
@@ -134,14 +138,18 @@ class RealTargetHarness : public TargetBackend {
   // Sub-phase timing (spawn: real.plan_write / fork_exec / child_wait;
   // forkserver/persistent: real.fs_roundtrip / fs_restart; all modes:
   // feedback_read / scratch_cleanup, plus recovery_run / verify when the
-  // two-phase commands are configured) plus outcome-breakdown counters.
+  // two-phase commands are configured) plus outcome-breakdown counters
+  // (real.phase_spawned counts phase runs that were fresh spawns).
   void set_metrics_sink(obs::MetricsSink* sink) override;
 
   const RealTargetConfig& config() const { return config_; }
   const CoverageAccumulator& coverage() const { return coverage_; }
-  // The long-lived server client, once the first forkserver/persistent
-  // test has run (null in spawn mode). Exposed for tests.
+  // The long-lived server clients, once the first forkserver/persistent
+  // test has run (null in spawn mode, and a phase's also when its command
+  // cannot be preloaded and is spawned per run). Exposed for tests.
   ForkserverClient* forkserver() { return forkserver_.get(); }
+  ForkserverClient* recovery_server() { return recovery_server_.get(); }
+  ForkserverClient* verify_server() { return verify_server_.get(); }
 
  private:
   bool EnsureForkserver(std::string& why);
@@ -158,6 +166,9 @@ class RealTargetHarness : public TargetBackend {
   std::string plan_path_;
   std::string feedback_path_;
   std::unique_ptr<ForkserverClient> forkserver_;
+  // Recovery/verify phase servers (fs modes, preloadable commands only).
+  std::unique_ptr<ForkserverClient> recovery_server_;
+  std::unique_ptr<ForkserverClient> verify_server_;
   uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (fs modes)
   CoverageAccumulator coverage_;
   // Edge-signal bookkeeping (use_edges): distinct edges merged so far

@@ -50,6 +50,13 @@ std::string TempDir(const std::string& name) {
   return dir.string();
 }
 
+std::string SlurpFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
 // ---------------------------------------------------------------------------
 // Plan serialization
 // ---------------------------------------------------------------------------
@@ -222,6 +229,51 @@ TEST(ProcessRunnerTest, TimeoutEscalatesToSigkill) {
   // SIGKILL waits out the grace after SIGTERM: timeout + grace = 0.3 s.
   EXPECT_GE(result.wall_seconds, 0.3);
   EXPECT_LT(result.wall_seconds, 10.0);
+}
+
+// A /bin/sh -c body that ignores SIGTERM and leaves a grandchild (its pid
+// in `pidfile`) that ignores it too: only a SIGKILL to the whole process
+// group ends both.
+std::string TermProofTree(const std::string& pidfile) {
+  return "trap '' TERM; sleep 30 & echo $! > " + pidfile + "; wait";
+}
+
+// True once the process named in `pidfile` has died (within 5 s): it is
+// gone (kill(pid, 0) fails with ESRCH), or a zombie awaiting its reaping by
+// init. Kills it otherwise, so that a failing run leaves no orphan behind.
+bool ProcessGone(const std::string& pidfile) {
+  std::ifstream in(pidfile);
+  pid_t pid = 0;
+  if (!(in >> pid) || pid <= 0) {
+    return false;
+  }
+  for (int i = 0; i < 500; ++i) {
+    if (::kill(pid, 0) != 0 && errno == ESRCH) {
+      return true;
+    }
+    // /proc/PID/stat: "pid (comm) S ..."; comm may hold spaces and parens.
+    const std::string stat = SlurpFile("/proc/" + std::to_string(pid) + "/stat");
+    const size_t paren = stat.rfind(')');
+    if (paren != std::string::npos && paren + 2 < stat.size() && stat[paren + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  return false;
+}
+
+TEST(ProcessRunnerTest, TimeoutKillsTheChildsWholeProcessGroup) {
+  const std::string pidfile = TempDir("pgroup_run") + "/sleep.pid";
+  ProcessRequest request;
+  request.argv = {"/bin/sh", "-c", TermProofTree(pidfile)};
+  request.timeout_ms = 500;  // room for the shell to write its pidfile
+  request.kill_grace_ms = 100;
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started) << result.start_error;
+  EXPECT_TRUE(result.timed_out);
+  EXPECT_TRUE(result.kill_escalated);
+  EXPECT_TRUE(ProcessGone(pidfile)) << "the grandchild outlived the timeout kill";
 }
 
 TEST(ProcessRunnerTest, ReapsWithoutWaitingForPipeEof) {
@@ -440,13 +492,6 @@ ProcessResult RunTxengine(const std::string& dir, const std::vector<FaultSpec>& 
   ProcessResult result = RunProcess(request);
   EXPECT_TRUE(ReadFeedbackBlock(feedback_path.c_str(), block));
   return result;
-}
-
-std::string SlurpFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 TEST(StorageFaultTest, ShortWriteObservedByChild) {
@@ -745,6 +790,21 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   EXPECT_TRUE(after.timed_out);
   EXPECT_FALSE(after.server_restarted);
   EXPECT_EQ(client.server_pid(), pid);
+}
+
+TEST(ForkserverClientTest, TimeoutKillsTheChildsWholeProcessGroup) {
+  const std::string dir = TempDir("fs_pgroup");
+  ForkserverOptions opts = WalutilFsOptions(dir, false);
+  opts.argv = {"/bin/sh", "-c", TermProofTree(dir + "/sleep.pid")};
+  opts.timeout_ms = 500;  // room for the shell to write its pidfile
+  opts.kill_grace_ms = 100;
+  ForkserverClient client(opts);
+  ForkserverTestResult result = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(result.ran) << result.error;
+  EXPECT_TRUE(result.timed_out);
+  EXPECT_TRUE(result.kill_escalated);
+  EXPECT_EQ(result.term_signal, SIGKILL);
+  EXPECT_TRUE(ProcessGone(dir + "/sleep.pid")) << "the grandchild outlived the timeout kill";
 }
 
 TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
@@ -1088,6 +1148,15 @@ TEST(StaticAnalysisTest, AutoSpaceFindsTheSameCrashesInAStrictlySmallerSpace) {
 // Two-phase crash→recover→verify over afex_txengine
 // ---------------------------------------------------------------------------
 
+uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) {
+      return value;
+    }
+  }
+  return 0;
+}
+
 RealTargetConfig TxengineConfig(const std::string& work_root) {
   RealTargetConfig config;
   config.target_argv = {AFEX_TXENGINE_PATH, "workload", "{test}"};
@@ -1224,19 +1293,27 @@ TEST(TwoPhaseHarnessTest, SandboxRecycledByDefaultPreservedOnRequest) {
   EXPECT_TRUE(fs::exists(fs::path(preserved_sandbox) / "pages.db"));
 }
 
-// Spawn and forkserver must stay record-identical with the storage-failure
-// axes in play — kills, torn writes, dropped syncs and all.
+// All three exec modes must stay record-identical with the storage-failure
+// axes in play — kills, torn writes, dropped syncs and all — while spawn
+// mode spawns the phases and the others serve them from phase forkservers.
 std::vector<std::string> TxengineRecords(ExecMode mode, const std::string& dir,
                                          size_t budget) {
   RealTargetConfig config = TxengineConfig(dir);
   config.exec_mode = mode;
   RealTargetHarness harness(config);
+  obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+  harness.set_metrics_sink(&telemetry);
   FaultSpace space = TxengineSpace(/*max_call=*/12);
   FitnessExplorerConfig explorer_config;
   explorer_config.seed = 41;
   FitnessExplorer explorer(space, explorer_config);
   ExplorationSession session(explorer, harness, space, SessionConfig{});
   session.Run(SearchTarget{.max_tests = budget});
+  const bool served = mode != ExecMode::kSpawn;
+  EXPECT_EQ(harness.recovery_server() != nullptr, served);
+  EXPECT_EQ(harness.verify_server() != nullptr, served);
+  const uint64_t spawned = CounterValue(telemetry.Snapshot(), "real.phase_spawned");
+  EXPECT_EQ(spawned == 0, served) << spawned << " phases spawned";
   std::vector<std::string> serialized;
   for (const SessionRecord& record : session.result().records) {
     serialized.push_back(SerializeRecord(record));
@@ -1245,16 +1322,157 @@ std::vector<std::string> TxengineRecords(ExecMode mode, const std::string& dir,
 }
 
 TEST(TwoPhaseHarnessTest, StorageFaultCampaignRecordIdenticalAcrossExecModes) {
-  const size_t budget = 24;
+  const size_t budget = 100;
   std::vector<std::string> spawn =
       TxengineRecords(ExecMode::kSpawn, TempDir("tx_eq_spawn"), budget);
   std::vector<std::string> forkserver =
       TxengineRecords(ExecMode::kForkserver, TempDir("tx_eq_fs"), budget);
+  std::vector<std::string> persistent =
+      TxengineRecords(ExecMode::kPersistent, TempDir("tx_eq_pers"), budget);
   ASSERT_EQ(spawn.size(), budget);
   ASSERT_EQ(forkserver.size(), budget);
+  ASSERT_EQ(persistent.size(), budget);
   for (size_t i = 0; i < budget; ++i) {
     EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
+    EXPECT_EQ(spawn[i], persistent[i]) << "spawn vs persistent, record " << i;
   }
+}
+
+// A campaign-free harness around txengine's workload with the given phase
+// commands, in `mode`.
+RealTargetConfig PhaseConfig(const std::string& work_root, ExecMode mode,
+                             std::vector<std::string> recovery,
+                             std::vector<std::string> verify) {
+  RealTargetConfig config = TxengineConfig(work_root);
+  config.exec_mode = mode;
+  config.recovery_argv = std::move(recovery);
+  config.verify_argv = std::move(verify);
+  return config;
+}
+
+std::vector<std::string> FileLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(TwoPhaseHarnessTest, PhasesAreNeverFaulted) {
+  // The workload is killed at its first write. Recovery's own first write
+  // (the echo) must go through untouched in every mode: a phase server
+  // receives only empty plans.
+  FaultSpace space = TxengineSpace(/*max_call=*/40);
+  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    RealTargetHarness harness(
+        PhaseConfig(TempDir("phase_unfaulted_" + std::to_string(static_cast<int>(mode))),
+                    mode, {"/bin/sh", "-c", "echo recovered-{test} > marker"},
+                    {"/bin/sh", "-c", "grep -qx recovered-{test} marker"}));
+    for (size_t test = 1; test <= 2; ++test) {
+      TestOutcome outcome =
+          harness.RunFault(space, MakeModeFault(space, test, "write", 1, "kill_at"));
+      EXPECT_TRUE(outcome.fault_triggered);
+      EXPECT_EQ(outcome.exit_code, 128 + SIGKILL);
+      EXPECT_FALSE(outcome.recovery_failed) << outcome.detail;
+      EXPECT_FALSE(outcome.invariant_violated) << outcome.detail;
+    }
+    EXPECT_EQ(harness.recovery_server() != nullptr, mode != ExecMode::kSpawn);
+  }
+}
+
+TEST(TwoPhaseHarnessTest, StaticPhaseCommandRunsOncePerTestAsASpawn) {
+  // A static binary ignores LD_PRELOAD: served from a forkserver, its main
+  // would run once more as the "server". It must be spawned per run.
+  const std::string dir = TempDir("phase_static");
+  const std::string log = dir + "/phase.log";
+  RealTargetHarness harness(PhaseConfig(dir + "/work", ExecMode::kForkserver,
+                                        {AFEX_STATIC_PHASE_PATH, log, "rec-{test}"},
+                                        {AFEX_STATIC_PHASE_PATH, log, "ver-{test}"}));
+  obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+  harness.set_metrics_sink(&telemetry);
+  FaultSpace space = TxengineSpace(/*max_call=*/40);
+  for (size_t test : {1, 2, 1}) {
+    TestOutcome outcome =
+        harness.RunFault(space, MakeModeFault(space, test, "write", 40, "kill_at"));
+    EXPECT_FALSE(outcome.test_failed) << outcome.detail;
+  }
+  EXPECT_EQ(harness.recovery_server(), nullptr);
+  EXPECT_EQ(harness.verify_server(), nullptr);
+  EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.phase_spawned"), 6u);
+  EXPECT_EQ(FileLines(log), (std::vector<std::string>{"rec-1", "ver-1", "rec-2", "ver-2",
+                                                      "rec-1", "ver-1"}));
+}
+
+TEST(TwoPhaseHarnessTest, TestIdSubstitutesInServedPhaseArgv) {
+  const std::string dir = TempDir("phase_test_id");
+  const std::string log = dir + "/phase.log";
+  // The bare "sh" is found on $PATH, as execvp would, and served too.
+  RealTargetHarness harness(
+      PhaseConfig(dir + "/work", ExecMode::kForkserver,
+                  {"/bin/sh", "-c", "echo rec-{test} >> " + log},
+                  {"sh", "-c", "echo ver-{test}-{test} >> " + log}));
+  FaultSpace space = TxengineSpace(/*max_call=*/40);
+  for (size_t test : {1, 2, 1}) {
+    TestOutcome outcome =
+        harness.RunFault(space, MakeModeFault(space, test, "write", 40, "kill_at"));
+    EXPECT_FALSE(outcome.test_failed) << outcome.detail;
+  }
+  ASSERT_NE(harness.recovery_server(), nullptr);
+  ASSERT_NE(harness.verify_server(), nullptr);
+  EXPECT_EQ(harness.recovery_server()->generations(), 1u);
+  EXPECT_EQ(harness.verify_server()->generations(), 1u);
+  EXPECT_EQ(FileLines(log), (std::vector<std::string>{"rec-1", "ver-1-1", "rec-2", "ver-2-2",
+                                                      "rec-1", "ver-1-1"}));
+}
+
+TEST(TwoPhaseHarnessTest, HangingRecoveryFailsAndItsServerSurvives) {
+  RealTargetConfig config = PhaseConfig(TempDir("phase_hang"), ExecMode::kForkserver,
+                                        {"/bin/sh", "-c", "sleep 30"},
+                                        {AFEX_TXENGINE_PATH, "verify"});
+  config.timeout_ms = 300;
+  RealTargetHarness harness(config);
+  FaultSpace space = TxengineSpace(/*max_call=*/40);
+  pid_t server = -1;
+  for (int round = 0; round < 2; ++round) {
+    TestOutcome outcome = harness.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
+    EXPECT_TRUE(outcome.recovery_failed);
+    EXPECT_FALSE(outcome.invariant_violated);  // verify never runs
+    EXPECT_TRUE(outcome.test_failed);
+    EXPECT_NE(outcome.detail.find("recovery failed"), std::string::npos) << outcome.detail;
+    ASSERT_NE(harness.recovery_server(), nullptr);
+    if (round == 0) {
+      server = harness.recovery_server()->server_pid();
+    }
+  }
+  EXPECT_GT(server, 0);
+  EXPECT_EQ(harness.recovery_server()->server_pid(), server);
+  EXPECT_EQ(harness.recovery_server()->restarts(), 0u);
+}
+
+TEST(TwoPhaseHarnessTest, DestroyedHarnessLeavesNoServerAndNoFd) {
+  const std::ptrdiff_t fds_before = OpenFdCount();
+  std::vector<pid_t> servers;
+  {
+    RealTargetConfig config = TxengineConfig(TempDir("phase_teardown"));
+    config.exec_mode = ExecMode::kForkserver;
+    RealTargetHarness served(config);
+    FaultSpace space = TxengineSpace(/*max_call=*/40);
+    TestOutcome outcome = served.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
+    EXPECT_FALSE(outcome.test_failed) << outcome.detail;
+    for (ForkserverClient* client :
+         {served.forkserver(), served.recovery_server(), served.verify_server()}) {
+      ASSERT_NE(client, nullptr);
+      servers.push_back(client->server_pid());
+    }
+  }
+  for (pid_t pid : servers) {
+    EXPECT_GT(pid, 0);
+    EXPECT_TRUE(::kill(pid, 0) != 0 && errno == ESRCH) << "server " << pid << " survived";
+  }
+  EXPECT_TRUE(NoZombieChild());
+  EXPECT_EQ(OpenFdCount(), fds_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -1344,15 +1562,6 @@ TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
 // poison the campaign. The corrupting step always runs exec env LD_PRELOAD=
 // so no interposer holds a live mapping of the block while it is mangled.
 // ---------------------------------------------------------------------------
-
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
-  for (const auto& [counter, value] : snapshot.counters) {
-    if (counter == name) {
-      return value;
-    }
-  }
-  return 0;
-}
 
 double GaugeValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
   for (const auto& [gauge, value] : snapshot.gauges) {
